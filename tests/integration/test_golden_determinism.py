@@ -10,14 +10,11 @@ To regenerate after an *intentional* behaviour change::
 
     PYTHONPATH=src python - <<'PY'
     import json
-    from repro.validation.experiments.fast import run_fast
+    from repro.validation.experiments.fast import FAST_KWARGS, run_fast
     from repro.validation.runner import reset_run_stats
     from repro.validation import export
     digests = {}
-    for eid in ("figure12", "figure14", "table2", "epoch-size-study",
-                "figure16-latency", "crash-check", "tier-sweep",
-                "migration-policy", "explore-check", "service-latency",
-                "cache-policy"):
+    for eid in sorted(FAST_KWARGS):
         reset_run_stats()
         result = run_fast(eid, jobs=1)
         digests[eid] = export.experiment_digest(
@@ -36,7 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.validation import export
-from repro.validation.experiments.fast import run_fast
+from repro.validation.experiments.fast import FAST_KWARGS, run_fast
 from repro.validation.runner import reset_run_stats
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "experiment_digests.json"
@@ -118,3 +115,8 @@ def test_golden_file_is_well_formed():
         assert isinstance(digest, str) and len(digest) == 64, (
             f"{experiment_id}: pinned value is not a SHA-256 hex digest"
         )
+
+
+def test_every_fast_preset_is_pinned():
+    # A registry experiment without a pin could drift silently.
+    assert sorted(GOLDEN) == sorted(FAST_KWARGS)
