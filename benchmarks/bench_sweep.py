@@ -111,7 +111,9 @@ def bench_streaming(scale: str, jobs: int) -> dict:
         "variant": "sweep-streaming",
         "specs": len(specs),
         "rows": len(rows),
-        "resident_rows": stats.stream_merge_peak_rows if stats else 0,
+        "resident_rows": (
+            stats.counters.get("sweep.stream_merge_peak_rows", 0) if stats else 0
+        ),
         "wall_s": wall_s,
         "specs_per_s": len(specs) / wall_s if wall_s else 0.0,
         "peak_rss_mib": _peak_rss_mib(),

@@ -15,6 +15,13 @@ With ``--format json`` the experiment document (rows + provenance
 manifest + runner telemetry; see ``repro.validation.export``) is the
 *only* stdout output — progress and summary lines move to stderr — so
 the command pipes cleanly into ``jq`` and friends.
+
+The experiment subcommands (``run``, ``crash-check``, ``explore``,
+``service``, ``sweep run/resume``) share one execute path,
+:func:`_execute`: each builds a :class:`Preset` (the driver call, the
+manifest knobs and sections, an optional verdict gate), and the path
+does the rest, with the same ``--jobs/--format/--out`` semantics and
+exit codes everywhere.
 """
 
 from __future__ import annotations
@@ -23,20 +30,26 @@ import argparse
 import inspect
 import sys
 import time
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import (
     FaultPlanError,
     InvariantViolation,
+    QuartzError,
     RunInterrupted,
     ValidationError,
 )
 from repro.faults import FaultPlan, clear_active_faults, set_active_faults
-from repro.hw.arch import arch_by_name
+from repro.hw.arch import IVY_BRIDGE, arch_by_name
 from repro.quartz.calibration import calibrate_arch
+from repro.quartz.trace import summarize_trace_jsonl
 from repro.validation import export
 from repro.validation.experiments import REGISTRY
-from repro.validation.experiments.service import SERVICE_PRESETS
+from repro.validation.experiments import crash as crash_experiment
+from repro.validation.experiments import explore as explore_experiment
+from repro.validation.experiments import sweeps as sweep_experiments
+from repro.validation.experiments.service import SERVICE_PRESETS, service_scenario
 from repro.validation.experiments.sweeps import SWEEP_PRESETS
 from repro.validation.reporting import render_table
 from repro.validation.runner import (
@@ -46,6 +59,8 @@ from repro.validation.runner import (
     reset_run_stats,
     set_trace_out,
 )
+
+MUTANTS = ("all", "none", "missing-flush", "misordered-barrier")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,26 +73,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list available experiments")
-
-    run = subparsers.add_parser("run", help="run one experiment")
-    run.add_argument("experiment", choices=sorted(REGISTRY), metavar="experiment")
-    run.add_argument(
-        "--arch",
-        help="restrict to one processor family (where the experiment allows)",
-    )
-    run.add_argument(
-        "--trials", type=int, help="trial count (where the experiment allows)"
-    )
-    run.add_argument(
+    # Flags every experiment subcommand shares, with one meaning.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
         "--jobs",
         type=int,
         help=(
-            "worker processes for the run grid (default: QUARTZ_REPRO_JOBS "
-            "or all cores; results are identical for any job count)"
+            "worker processes (default: QUARTZ_REPRO_JOBS or all cores; "
+            "results are identical for any job count)"
         ),
     )
-    run.add_argument(
+    output.add_argument(
         "--format",
         choices=("table", "json"),
         default="table",
@@ -86,10 +92,43 @@ def _build_parser() -> argparse.ArgumentParser:
             "export document (default: table)"
         ),
     )
-    run.add_argument(
+    output.add_argument(
         "-o", "--output", "--out",
         dest="output",
         help="also write the rendered output (current --format) to a file",
+    )
+    faulted = argparse.ArgumentParser(add_help=False)
+    faulted.add_argument(
+        "--faults",
+        help=(
+            "run under deterministic fault injection; semicolon-separated "
+            "clauses, e.g. 'seed(7); signal-delay(ns=2e6, p=1.0); "
+            "timer-jitter(rel=0.01)' — see repro.faults.plan for the "
+            "full grammar"
+        ),
+    )
+    faulted.add_argument(
+        "--check-invariants",
+        action="store_true",
+        help=(
+            "attach the runtime invariant monitor (clock monotonicity, "
+            "delay conservation, split proportionality); the run aborts "
+            "with exit code 3 at the first violation"
+        ),
+    )
+
+    subparsers.add_parser("list", help="list available experiments")
+
+    run = subparsers.add_parser(
+        "run", help="run one experiment", parents=[output, faulted]
+    )
+    run.add_argument("experiment", choices=sorted(REGISTRY), metavar="experiment")
+    run.add_argument(
+        "--arch",
+        help="restrict to one processor family (where the experiment allows)",
+    )
+    run.add_argument(
+        "--trials", type=int, help="trial count (where the experiment allows)"
     )
     run.add_argument(
         "--trace-out",
@@ -100,30 +139,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--faults",
-        help=(
-            "run under deterministic fault injection; semicolon-separated "
-            "clauses, e.g. 'seed(7); signal-delay(ns=2e6, p=1.0); "
-            "timer-jitter(rel=0.01)' — see repro.faults.plan for the "
-            "full grammar"
-        ),
-    )
-    run.add_argument(
         "--tiers",
         help=(
             "emulated memory-tier ladder for the multi-tier experiments: "
             "comma-separated read/write latency pairs in ns, fastest "
             "first, e.g. '250/350,400/600,700/1100' (tier 0, the local "
             "DRAM, is implicit)"
-        ),
-    )
-    run.add_argument(
-        "--check-invariants",
-        action="store_true",
-        help=(
-            "attach the runtime invariant monitor (clock monotonicity, "
-            "delay conservation, split proportionality); the run aborts "
-            "with exit code 3 at the first violation"
         ),
     )
 
@@ -139,6 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     crash = subparsers.add_parser(
         "crash-check",
+        parents=[output],
         help=(
             "crash-consistency check a recoverable PM workload "
             "(persistence-domain simulation + recovery validation)"
@@ -150,15 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recoverable workload to check",
     )
     crash.add_argument(
-        "--mutant",
-        choices=("all", "none", "missing-flush", "misordered-barrier"),
-        default="all",
-        help=(
-            "protocol variant(s) to run: the correct protocol ('none'), a "
-            "seeded bug, or the full oracle sweep (default: all)"
-        ),
-    )
-    crash.add_argument(
         "--shards",
         type=int,
         default=4,
@@ -168,29 +181,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "default: 4)"
         ),
     )
-    crash.add_argument("--seed", type=int, default=411, help="run seed")
-    crash.add_argument(
-        "--arch", help="processor family of the simulated testbed"
-    )
-    crash.add_argument(
-        "--jobs",
-        type=int,
-        help="worker processes (default: QUARTZ_REPRO_JOBS or all cores)",
-    )
-    crash.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="output format (default: table)",
-    )
-    crash.add_argument(
-        "-o", "--output", "--out",
-        dest="output",
-        help="also write the rendered output (current --format) to a file",
-    )
+    _add_oracle_flags(crash, seed=411)
 
     explore = subparsers.add_parser(
         "explore",
+        parents=[output],
         help=(
             "model-check a recoverable workload: enumerate every thread "
             "interleaving and cross each with every reachable crash point"
@@ -202,17 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="explorable workload (litmus tests or recoverable PM bodies)",
     )
     explore.add_argument(
-        "--mutant",
-        choices=("all", "none", "missing-flush", "misordered-barrier"),
-        default="all",
-        help=(
-            "protocol variant(s) to explore: the correct protocol "
-            "('none'), a seeded bug, or the full oracle sweep (default: "
-            "all; litmus tests without a persist protocol only accept "
-            "'none')"
-        ),
-    )
-    explore.add_argument(
         "--shards",
         type=int,
         default=2,
@@ -222,7 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "any --jobs value; default: 2)"
         ),
     )
-    explore.add_argument("--seed", type=int, default=0, help="run seed")
     explore.add_argument(
         "--no-prune",
         action="store_true",
@@ -231,28 +214,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "tree (the pruning-soundness baseline; slower, same verdict)"
         ),
     )
-    explore.add_argument(
-        "--arch", help="processor family of the simulated testbed"
-    )
-    explore.add_argument(
-        "--jobs",
-        type=int,
-        help="worker processes (default: QUARTZ_REPRO_JOBS or all cores)",
-    )
-    explore.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="output format (default: table)",
-    )
-    explore.add_argument(
-        "-o", "--output", "--out",
-        dest="output",
-        help="also write the rendered output (current --format) to a file",
-    )
+    _add_oracle_flags(explore, seed=0)
 
     service = subparsers.add_parser(
         "service",
+        parents=[output, faulted],
         help=(
             "run the trace-driven multi-tenant KV service (DRAM cache "
             "tier + tail-latency reporting) at a named preset"
@@ -261,38 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     service.add_argument(
         "preset", choices=sorted(SERVICE_PRESETS), metavar="preset",
         help=f"service preset ({', '.join(sorted(SERVICE_PRESETS))})",
-    )
-    service.add_argument(
-        "--jobs",
-        type=int,
-        help="worker processes (default: QUARTZ_REPRO_JOBS or all cores)",
-    )
-    service.add_argument(
-        "--faults",
-        help=(
-            "run under deterministic fault injection (same grammar as "
-            "'run --faults'); the cache-accounting conservation checks "
-            "still gate the run"
-        ),
-    )
-    service.add_argument(
-        "--check-invariants",
-        action="store_true",
-        help=(
-            "attach the runtime invariant monitor; the run aborts with "
-            "exit code 3 at the first violation"
-        ),
-    )
-    service.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="output format (default: table)",
-    )
-    service.add_argument(
-        "-o", "--output", "--out",
-        dest="output",
-        help="also write the rendered output (current --format) to a file",
     )
 
     sweep = subparsers.add_parser(
@@ -304,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
     sweep_run = sweep_sub.add_parser(
-        "run", help="start a journaled sweep of a preset grid"
+        "run", help="start a journaled sweep of a preset grid", parents=[output]
     )
     sweep_run.add_argument(
         "preset", choices=sorted(SWEEP_PRESETS), metavar="preset",
@@ -316,6 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep_resume = sweep_sub.add_parser(
         "resume",
+        parents=[output],
         help=(
             "resume an interrupted sweep: verified checkpoints are "
             "reused, only unfinished specs re-execute"
@@ -330,21 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="sweep directory (journal.jsonl + results.jsonl)",
         )
     for sub in (sweep_run, sweep_resume):
-        sub.add_argument(
-            "--jobs", type=int,
-            help=(
-                "worker processes (default: QUARTZ_REPRO_JOBS or all "
-                "cores; results are identical for any job count)"
-            ),
-        )
-        sub.add_argument(
-            "--format", choices=("table", "json"), default="table",
-            help="output format (default: table)",
-        )
-        sub.add_argument(
-            "-o", "--output", "--out", dest="output",
-            help="also write the rendered output (current --format) to a file",
-        )
         sub.add_argument(
             "--interrupt-after", type=int, default=None,
             help=(
@@ -373,6 +293,22 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     return parser
+
+
+def _add_oracle_flags(parser: argparse.ArgumentParser, seed: int) -> None:
+    """``--mutant/--seed/--arch``, shared by ``crash-check`` and ``explore``."""
+    parser.add_argument(
+        "--mutant",
+        choices=MUTANTS,
+        default="all",
+        help=(
+            "protocol variant(s) to run: the correct protocol ('none'), a "
+            "seeded bug, or the full oracle sweep (default: all; litmus "
+            "tests without a persist protocol only accept 'none')"
+        ),
+    )
+    parser.add_argument("--seed", type=int, default=seed, help="run seed")
+    parser.add_argument("--arch", help="processor family of the simulated testbed")
 
 
 def _parse_tier_ladder(spec: str) -> tuple:
@@ -443,7 +379,7 @@ def _driver_kwargs(
                 file=sys.stderr,
             )
     if "jobs" in parameters:
-        kwargs["jobs"] = args.jobs if args.jobs else default_cli_jobs()
+        kwargs["jobs"] = _jobs(args)
         if getattr(args, "trace_out", None):
             if kwargs["jobs"] != 1:
                 print(
@@ -460,69 +396,106 @@ def _driver_kwargs(
     return kwargs
 
 
-def _run_experiment(args: argparse.Namespace) -> int:
-    driver = REGISTRY[args.experiment]
-    kwargs = _driver_kwargs(args.experiment, driver, args)
+def _jobs(args: argparse.Namespace) -> int:
+    return args.jobs if args.jobs else default_cli_jobs()
+
+
+# ----------------------------------------------------------------------
+# The one execute path
+# ----------------------------------------------------------------------
+
+
+def _completed(result, wall_s: float) -> tuple:
+    return result, f"\n(completed in {wall_s:.1f}s wall time)"
+
+
+@dataclass
+class Preset:
+    """What one experiment subcommand contributes to :func:`_execute`."""
+
+    #: Calls the driver; its return value goes to ``finish``.
+    run: Callable[[], Any]
+    #: Manifest knobs, ``command`` first.
+    knobs: dict
+    #: Extra digest-covered manifest sections (``crash``, ``explore``,
+    #: ``service``).
+    sections: dict = field(default_factory=dict)
+    #: Error line for a result row whose ``ok`` is false; any such row
+    #: makes the command exit 4.  ``None``: the rows carry no verdict.
+    verdict: Optional[Callable[[dict], str]] = None
+    #: ``(driver return, wall seconds) -> (ExperimentResult, info line)``.
+    finish: Callable[[Any, float], tuple] = _completed
+    #: Extra stderr line after an interrupt.
+    resume_hint: Optional[str] = None
+
+
+def _execute(args: argparse.Namespace, preset: Preset) -> int:
+    """Run a preset: fault context, timing, stats, document, render, --out.
+
+    Exit codes: 0 success; 2 a malformed ``--faults`` plan or a
+    misconfigured run; 3 a violated invariant; 4 a failed verdict row;
+    130 interrupted, with the partial runner summary on stderr.
+    """
     # In JSON mode stdout carries the document and nothing else.
     info = sys.stderr if args.format == "json" else sys.stdout
     fault_plan = None
-    if args.faults:
+    if getattr(args, "faults", None):
         try:
             fault_plan = FaultPlan.parse(args.faults)
         except FaultPlanError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-    if args.trace_out:
+    check_invariants = getattr(args, "check_invariants", False)
+    if getattr(args, "trace_out", None):
         set_trace_out(args.trace_out)
-    if fault_plan is not None or args.check_invariants:
-        set_active_faults(fault_plan, args.check_invariants)
+    if fault_plan is not None or check_invariants:
+        set_active_faults(fault_plan, check_invariants)
     reset_run_stats()
     started = time.perf_counter()
     try:
         try:
-            result = driver(**kwargs)
+            raw = preset.run()
         finally:
             trace_info = close_trace_out()
             clear_active_faults()
     except InvariantViolation as error:
         print(f"error: {error}", file=sys.stderr)
         print(
-            "the run aborted at the first violated invariant; re-run "
-            "without --check-invariants to observe the raw (faulted) "
-            "behaviour",
+            "the run aborted at the first violated invariant (runtime "
+            "monitor or cache-accounting conservation); re-run without "
+            "--check-invariants to observe the raw (faulted) behaviour",
             file=sys.stderr,
         )
         return 3
     except RunInterrupted as interrupt:
         stats = consume_run_stats()
         print(f"interrupted: {interrupt}", file=sys.stderr)
-        if stats is not None and stats.runs:
+        if stats is not None:
             print(stats.summary(), file=sys.stderr)
+        if preset.resume_hint:
+            print(preset.resume_hint, file=sys.stderr)
         return 130
-    wall_s = time.perf_counter() - started
+    except ValidationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    result, info_line = preset.finish(raw, time.perf_counter() - started)
     stats = consume_run_stats()
     if args.format == "json":
         document = export.build_document(
             result,
             export.build_manifest(
                 stats=stats,
-                knobs={
-                    "command": "run",
-                    "experiment": args.experiment,
-                    "arch": args.arch,
-                    "trials": args.trials,
-                    "check_invariants": bool(args.check_invariants),
-                },
+                knobs=preset.knobs,
                 faults=fault_plan.to_dict() if fault_plan is not None else None,
+                **preset.sections,
             ),
             telemetry=stats.telemetry() if stats is not None else None,
         )
         rendered = export.dumps_document(document)
-        sys.stdout.write(rendered)
     else:
         rendered = render_table(result) + "\n"
-        sys.stdout.write(rendered)
-    print(f"\n(completed in {wall_s:.1f}s wall time)", file=info)
+    sys.stdout.write(rendered)
+    print(info_line, file=info)
     if stats is not None and stats.runs:
         print(stats.summary(), file=info)
     if trace_info is not None:
@@ -536,335 +509,195 @@ def _run_experiment(args: argparse.Namespace) -> int:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(rendered)
         print(f"written to {args.output}", file=info)
-    return 0
+    failed = [row for row in result.rows if not row["ok"]] if preset.verdict else []
+    for row in failed:
+        print(preset.verdict(row), file=sys.stderr)
+    return 4 if failed else 0
 
 
-def _crash_check(args: argparse.Namespace) -> int:
-    """The ``crash-check`` subcommand: run the oracle, gate on its verdict.
+# ----------------------------------------------------------------------
+# Presets, one per experiment subcommand
+# ----------------------------------------------------------------------
 
-    Exit codes: 0 every expectation held; 4 the checker's verdict failed
-    (violations on the correct protocol, or a mutant escaping uncaught).
-    """
-    from repro.hw.arch import IVY_BRIDGE
-    from repro.validation.experiments.crash import (
-        DEFAULT_CRASH_PLAN,
-        MUTANT_AXIS,
-        run_crash_check,
+
+def _run_preset(args: argparse.Namespace) -> Preset:
+    driver = REGISTRY[args.experiment]
+    kwargs = _driver_kwargs(args.experiment, driver, args)
+    return Preset(
+        run=lambda: driver(**kwargs),
+        knobs={
+            "command": "run",
+            "experiment": args.experiment,
+            "arch": args.arch,
+            "trials": args.trials,
+            "check_invariants": bool(args.check_invariants),
+        },
     )
 
-    info = sys.stderr if args.format == "json" else sys.stdout
-    mutants = MUTANT_AXIS if args.mutant == "all" else (args.mutant,)
-    arch = arch_by_name(args.arch) if args.arch else IVY_BRIDGE
-    reset_run_stats()
-    started = time.perf_counter()
-    result = run_crash_check(
-        arch=arch,
-        workload=args.workload,
-        mutants=mutants,
-        shards=args.shards,
-        seed=args.seed,
-        jobs=args.jobs if args.jobs else default_cli_jobs(),
-    )
-    wall_s = time.perf_counter() - started
-    stats = consume_run_stats()
-    if args.format == "json":
-        document = export.build_document(
-            result,
-            export.build_manifest(
-                stats=stats,
-                knobs={
-                    "command": "crash-check",
-                    "workload": args.workload,
-                    "mutant": args.mutant,
-                    "shards": args.shards,
-                    "seed": args.seed,
-                    "arch": args.arch,
-                },
-                crash=DEFAULT_CRASH_PLAN.to_dict(),
-            ),
-            telemetry=stats.telemetry() if stats is not None else None,
-        )
-        rendered = export.dumps_document(document)
-    else:
-        rendered = render_table(result) + "\n"
-    sys.stdout.write(rendered)
-    print(f"\n(completed in {wall_s:.1f}s wall time)", file=info)
-    if stats is not None and stats.runs:
-        print(stats.summary(), file=info)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-        print(f"written to {args.output}", file=info)
-    failed = [row for row in result.rows if not row["ok"]]
-    if failed:
-        for row in failed:
-            print(
-                f"error: crash-check expectation failed for "
-                f"{row['workload']}/{row['mutant']}: expected "
-                f"{row['expected']} violation(s), got {row['violations']}",
-                file=sys.stderr,
-            )
-        return 4
-    return 0
+
+def _oracle_knobs(args: argparse.Namespace) -> dict:
+    return {
+        "command": args.command,
+        "workload": args.workload,
+        "mutant": args.mutant,
+        "shards": args.shards,
+        "seed": args.seed,
+        "arch": args.arch,
+    }
 
 
-def _explore(args: argparse.Namespace) -> int:
-    """The ``explore`` subcommand: model-check, gate on the verdict.
-
-    Exit codes: 0 every expectation held (the report prints schedule and
-    crash-point counts); 4 the oracle's verdict failed — violations on
-    the correct protocol, a mutant surviving the full exploration, or a
-    capped (non-exhaustive) run.
-    """
-    from dataclasses import replace
-
-    from repro.hw.arch import IVY_BRIDGE
-    from repro.validation.experiments.explore import (
-        DEFAULT_EXPLORE_PLAN,
-        MUTANT_AXIS,
-        run_explore_check,
+def _crash_preset(args: argparse.Namespace) -> Preset:
+    """``crash-check``: run the oracle; exit 4 when its verdict fails
+    (violations on the correct protocol, or a mutant escaping uncaught)."""
+    mutants = crash_experiment.MUTANT_AXIS if args.mutant == "all" else (args.mutant,)
+    return Preset(
+        run=lambda: crash_experiment.run_crash_check(
+            arch=arch_by_name(args.arch) if args.arch else IVY_BRIDGE,
+            workload=args.workload,
+            mutants=mutants,
+            shards=args.shards,
+            seed=args.seed,
+            jobs=_jobs(args),
+        ),
+        knobs=_oracle_knobs(args),
+        sections={"crash": crash_experiment.DEFAULT_CRASH_PLAN.to_dict()},
+        verdict=lambda row: (
+            f"error: crash-check expectation failed for "
+            f"{row['workload']}/{row['mutant']}: expected "
+            f"{row['expected']} violation(s), got {row['violations']}"
+        ),
     )
 
-    info = sys.stderr if args.format == "json" else sys.stdout
+
+def _explore_preset(args: argparse.Namespace) -> Preset:
+    """``explore``: model-check; exit 4 on violations of the correct
+    protocol, a mutant surviving the full exploration, or a capped
+    (non-exhaustive) run."""
     if args.mutant == "all":
         # Litmus tests without a persist protocol reject mutants.
-        mutants = MUTANT_AXIS if args.workload != "disjoint-locks" else ("none",)
+        mutants = (
+            explore_experiment.MUTANT_AXIS
+            if args.workload != "disjoint-locks" else ("none",)
+        )
     else:
         mutants = (args.mutant,)
-    arch = arch_by_name(args.arch) if args.arch else IVY_BRIDGE
-    plan = DEFAULT_EXPLORE_PLAN
+    plan = explore_experiment.DEFAULT_EXPLORE_PLAN
     if args.no_prune:
         plan = replace(plan, prune=False)
-    reset_run_stats()
-    started = time.perf_counter()
-    result = run_explore_check(
-        arch=arch,
-        workload=args.workload,
-        mutants=mutants,
-        shards=args.shards,
-        seed=args.seed,
-        explore_plan=plan,
-        jobs=args.jobs if args.jobs else default_cli_jobs(),
+    return Preset(
+        run=lambda: explore_experiment.run_explore_check(
+            arch=arch_by_name(args.arch) if args.arch else IVY_BRIDGE,
+            workload=args.workload,
+            mutants=mutants,
+            shards=args.shards,
+            seed=args.seed,
+            explore_plan=plan,
+            jobs=_jobs(args),
+        ),
+        knobs=_oracle_knobs(args),
+        sections={"explore": plan.to_dict()},
+        verdict=lambda row: (
+            f"error: explore expectation failed for "
+            f"{row['workload']}/{row['mutant']}: expected "
+            f"{row['expected']} violation(s), got {row['violations']} "
+            f"across {row['schedules']} schedule(s)"
+        ),
     )
-    wall_s = time.perf_counter() - started
-    stats = consume_run_stats()
-    if args.format == "json":
-        document = export.build_document(
-            result,
-            export.build_manifest(
-                stats=stats,
-                knobs={
-                    "command": "explore",
-                    "workload": args.workload,
-                    "mutant": args.mutant,
-                    "shards": args.shards,
-                    "seed": args.seed,
-                    "arch": args.arch,
-                },
-                explore=plan.to_dict(),
-            ),
-            telemetry=stats.telemetry() if stats is not None else None,
-        )
-        rendered = export.dumps_document(document)
-    else:
-        rendered = render_table(result) + "\n"
-    sys.stdout.write(rendered)
-    print(f"\n(completed in {wall_s:.1f}s wall time)", file=info)
-    if stats is not None and stats.runs:
-        print(stats.summary(), file=info)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-        print(f"written to {args.output}", file=info)
-    failed = [row for row in result.rows if not row["ok"]]
-    if failed:
-        for row in failed:
-            print(
-                f"error: explore expectation failed for "
-                f"{row['workload']}/{row['mutant']}: expected "
-                f"{row['expected']} violation(s), got {row['violations']} "
-                f"across {row['schedules']} schedule(s)",
-                file=sys.stderr,
-            )
-        return 4
-    return 0
 
 
-def _service(args: argparse.Namespace) -> int:
-    """The ``service`` subcommand: one KV-service preset, gated exports.
-
-    Exit codes: 0 on success, 2 on a misconfigured preset/fault plan,
-    3 when an invariant (including the DRAM cache's accounting
-    conservation) is violated, 130 when interrupted.
-    """
-    from repro.validation.experiments.service import service_scenario
-
-    info = sys.stderr if args.format == "json" else sys.stdout
+def _service_preset(args: argparse.Namespace) -> Preset:
+    """``service``: one KV-service preset; the cache-accounting
+    conservation checks gate the run (exit 3) even without
+    ``--check-invariants``."""
     experiment_id, build_kwargs = SERVICE_PRESETS[args.preset]
     driver = REGISTRY[experiment_id]
-    kwargs = build_kwargs()
-    kwargs["jobs"] = args.jobs if args.jobs else default_cli_jobs()
-    fault_plan = None
-    if args.faults:
-        try:
-            fault_plan = FaultPlan.parse(args.faults)
-        except FaultPlanError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if fault_plan is not None or args.check_invariants:
-        set_active_faults(fault_plan, args.check_invariants)
-    reset_run_stats()
-    started = time.perf_counter()
-    try:
-        try:
-            result = driver(**kwargs)
-        finally:
-            clear_active_faults()
-    except InvariantViolation as error:
-        print(f"error: {error}", file=sys.stderr)
-        print(
-            "the service run aborted at the first violated invariant "
-            "(runtime or cache-accounting conservation)",
-            file=sys.stderr,
-        )
-        return 3
-    except RunInterrupted as interrupt:
-        stats = consume_run_stats()
-        print(f"interrupted: {interrupt}", file=sys.stderr)
-        if stats is not None and stats.runs:
-            print(stats.summary(), file=sys.stderr)
-        return 130
-    wall_s = time.perf_counter() - started
-    stats = consume_run_stats()
-    if args.format == "json":
-        document = export.build_document(
-            result,
-            export.build_manifest(
-                stats=stats,
-                knobs={
-                    "command": "service",
-                    "preset": args.preset,
-                    "experiment": experiment_id,
-                    "check_invariants": bool(args.check_invariants),
-                },
-                faults=fault_plan.to_dict() if fault_plan is not None else None,
-                service=service_scenario(args.preset),
-            ),
-            telemetry=stats.telemetry() if stats is not None else None,
-        )
-        rendered = export.dumps_document(document)
-    else:
-        rendered = render_table(result) + "\n"
-    sys.stdout.write(rendered)
-    print(f"\n(completed in {wall_s:.1f}s wall time)", file=info)
-    if stats is not None and stats.runs:
-        print(stats.summary(), file=info)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-        print(f"written to {args.output}", file=info)
-    return 0
-
-
-def _sweep(args: argparse.Namespace) -> int:
-    """The ``sweep`` subcommand family: run / resume / status.
-
-    Exit codes: 0 on a completed sweep, 2 on a misconfigured one
-    (unknown scale, journal/grid mismatch, fresh ``run`` into a used
-    directory), 130 when interrupted — with every completed spec
-    checkpointed and a resume hint printed.
-    """
-    from repro.validation.experiments.sweeps import (
-        resume_sweep,
-        start_sweep,
-        sweep_status,
+    kwargs = {**build_kwargs(), "jobs": _jobs(args)}
+    return Preset(
+        run=lambda: driver(**kwargs),
+        knobs={
+            "command": "service",
+            "preset": args.preset,
+            "experiment": experiment_id,
+            "check_invariants": bool(args.check_invariants),
+        },
+        sections={"service": service_scenario(args.preset)},
     )
 
-    if args.sweep_command == "status":
-        try:
-            status = sweep_status(args.sweep_dir)
-        except ValidationError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(f"sweep: {status['name']} (knobs: {status['knobs']})")
-        print(
-            f"progress: {status['done']}/{status['total']} spec(s) "
-            f"checkpointed, {status['remaining']} remaining"
-        )
-        print(f"grid digest: {status['grid_digest']}")
-        print(f"journal: {status['journal']}")
-        return 0
 
-    info = sys.stderr if args.format == "json" else sys.stdout
-    jobs = args.jobs if args.jobs else default_cli_jobs()
-    reset_run_stats()
-    started = time.perf_counter()
-    try:
+def _sweep_preset(args: argparse.Namespace) -> Preset:
+    """``sweep run/resume``: a journaled sweep.  An interrupt leaves every
+    completed spec checkpointed and prints a resume hint; an unknown
+    scale, a journal/grid mismatch or a fresh ``run`` into a used
+    directory exits 2."""
+    jobs = _jobs(args)
+    # A resumed sweep learns its preset and scale from the journal.
+    knobs = {"command": "sweep"}
+
+    def run():
         if args.sweep_command == "run":
-            sweep_run = start_sweep(
-                args.preset,
-                args.scale,
-                args.sweep_dir,
-                jobs=jobs,
-                interrupt_after=args.interrupt_after,
+            sweep_run = sweep_experiments.start_sweep(
+                args.preset, args.scale, args.sweep_dir,
+                jobs=jobs, interrupt_after=args.interrupt_after,
             )
         else:
-            sweep_run = resume_sweep(
-                args.sweep_dir,
-                jobs=jobs,
-                interrupt_after=args.interrupt_after,
+            sweep_run = sweep_experiments.resume_sweep(
+                args.sweep_dir, jobs=jobs, interrupt_after=args.interrupt_after
             )
-    except RunInterrupted as interrupt:
-        stats = consume_run_stats()
-        print(f"sweep interrupted: {interrupt}", file=sys.stderr)
-        if stats is not None:
-            print(stats.summary(), file=sys.stderr)
-        print(
-            f"resume with: quartz-repro sweep resume --dir {args.sweep_dir}",
-            file=sys.stderr,
+        knobs.update(preset=sweep_run.preset, scale=sweep_run.scale)
+        return sweep_run
+
+    def finish(sweep_run, wall_s: float) -> tuple:
+        report = sweep_run.report
+        tampered = (
+            f", {report.tampered} tampered record(s) re-run"
+            if report.tampered else ""
         )
-        return 130
+        return sweep_run.result, (
+            f"\nsweep {sweep_run.preset} ({sweep_run.scale}): "
+            f"{report.total} spec(s), {report.executed} executed, "
+            f"{report.skipped} reused from checkpoints{tampered} "
+            f"in {wall_s:.1f}s wall"
+        )
+
+    return Preset(
+        run=run,
+        knobs=knobs,
+        finish=finish,
+        resume_hint=f"resume with: quartz-repro sweep resume --dir {args.sweep_dir}",
+    )
+
+
+PRESETS: dict[str, Callable[[argparse.Namespace], Preset]] = {
+    "run": _run_preset,
+    "crash-check": _crash_preset,
+    "explore": _explore_preset,
+    "service": _service_preset,
+    "sweep": _sweep_preset,
+}
+
+
+# ----------------------------------------------------------------------
+# The other subcommands
+# ----------------------------------------------------------------------
+
+
+def _sweep_status(args: argparse.Namespace) -> int:
+    try:
+        status = sweep_experiments.sweep_status(args.sweep_dir)
     except ValidationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    wall_s = time.perf_counter() - started
-    stats = consume_run_stats()
-    if args.format == "json":
-        document = export.build_document(
-            sweep_run.result,
-            export.build_manifest(
-                stats=stats,
-                knobs={
-                    "command": "sweep",
-                    "preset": sweep_run.preset,
-                    "scale": sweep_run.scale,
-                },
-            ),
-            telemetry=stats.telemetry() if stats is not None else None,
-        )
-        rendered = export.dumps_document(document)
-    else:
-        rendered = render_table(sweep_run.result) + "\n"
-    sys.stdout.write(rendered)
-    report = sweep_run.report
+    print(f"sweep: {status['name']} (knobs: {status['knobs']})")
     print(
-        f"\nsweep {sweep_run.preset} ({sweep_run.scale}): "
-        f"{report.total} spec(s), {report.executed} executed, "
-        f"{report.skipped} reused from checkpoints"
-        f"{f', {report.tampered} tampered record(s) re-run' if report.tampered else ''} "
-        f"in {wall_s:.1f}s wall",
-        file=info,
+        f"progress: {status['done']}/{status['total']} spec(s) "
+        f"checkpointed, {status['remaining']} remaining"
     )
-    if stats is not None and stats.runs:
-        print(stats.summary(), file=info)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-        print(f"written to {args.output}", file=info)
+    print(f"grid digest: {status['grid_digest']}")
+    print(f"journal: {status['journal']}")
     return 0
 
 
-def _list_experiments() -> int:
+def _list_experiments(args: argparse.Namespace) -> int:
     print("available experiments (see DESIGN.md for the paper mapping):")
     for name in sorted(REGISTRY):
         doc = (REGISTRY[name].__doc__ or "").strip().splitlines()
@@ -889,9 +722,6 @@ def _calibrate(args: argparse.Namespace) -> int:
 
 
 def _trace_summarize(args: argparse.Namespace) -> int:
-    from repro.errors import QuartzError
-    from repro.quartz.trace import summarize_trace_jsonl
-
     try:
         print(summarize_trace_jsonl(args.path, max_records=args.max_records))
     except QuartzError as error:
@@ -903,23 +733,16 @@ def _trace_summarize(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _list_experiments()
-    if args.command == "run":
-        return _run_experiment(args)
-    if args.command == "crash-check":
-        return _crash_check(args)
-    if args.command == "explore":
-        return _explore(args)
-    if args.command == "service":
-        return _service(args)
-    if args.command == "calibrate":
-        return _calibrate(args)
-    if args.command == "sweep":
-        return _sweep(args)
-    if args.command == "trace":
-        return _trace_summarize(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    if args.command == "sweep" and args.sweep_command == "status":
+        return _sweep_status(args)
+    if args.command in PRESETS:
+        return _execute(args, PRESETS[args.command](args))
+    commands = {
+        "list": _list_experiments,
+        "calibrate": _calibrate,
+        "trace": _trace_summarize,
+    }
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

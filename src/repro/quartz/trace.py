@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 from repro.errors import QuartzError
 from repro.quartz.stats import EpochTrigger, QuartzStats
-from repro.validation.metrics import summarize
+from repro.stats_util import summarize
 
 if TYPE_CHECKING:
     from repro.quartz.emulator import Quartz

@@ -28,12 +28,12 @@ from repro.quartz.calibration import CalibrationData, calibrate_arch
 from repro.quartz.config import QuartzConfig
 from repro.quartz.emulator import Quartz
 from repro.quartz.stats import QuartzStats
+from repro.quartz.trace import JsonlTraceWriter, attach_trace
 from repro.sim import Simulator
 
 if TYPE_CHECKING:
     from repro.explore import ExplorePlan
     from repro.pmem.crash import CrashPlan
-    from repro.quartz.trace import JsonlTraceWriter
 
 
 @dataclass
@@ -111,7 +111,7 @@ def run_conf1(
     quartz_config: QuartzConfig,
     seed: int = 0,
     calibration: Optional[CalibrationData] = None,
-    trace_sink: Optional["JsonlTraceWriter"] = None,
+    trace_sink: Optional[JsonlTraceWriter] = None,
     fault_plan: Optional[FaultPlan] = None,
     check_invariants: bool = False,
 ) -> RunOutcome:
@@ -141,9 +141,6 @@ def run_conf1(
     if monitor is not None:
         monitor.attach_quartz(quartz)
     if trace_sink is not None:
-        # Local import: repro.quartz.trace imports validation.metrics.
-        from repro.quartz.trace import attach_trace
-
         attach_trace(quartz, sink=trace_sink)
     outcome = _drive(os, body_factory)
     outcome.quartz_stats = quartz.stats

@@ -114,14 +114,7 @@ class RunManifest:
             "calibration_seeds": list(self.calibration_seeds),
             "calibration_schema": self.calibration_schema,
             "knobs": dict(self.knobs),
-            "faults": dict(self.faults) if self.faults is not None else None,
-            "crash": dict(self.crash) if self.crash is not None else None,
-            "explore": (
-                dict(self.explore) if self.explore is not None else None
-            ),
-            "service": (
-                dict(self.service) if self.service is not None else None
-            ),
+            **_sections(vars(self)),
         }
 
     @classmethod
@@ -140,50 +133,44 @@ class RunManifest:
                     payload.get("calibration_schema", CALIBRATION_CACHE_SCHEMA)
                 ),
                 knobs=dict(payload.get("knobs", {})),
-                faults=(
-                    dict(payload["faults"])
-                    if payload.get("faults") is not None
-                    else None
-                ),
-                crash=(
-                    dict(payload["crash"])
-                    if payload.get("crash") is not None
-                    else None
-                ),
-                explore=(
-                    dict(payload["explore"])
-                    if payload.get("explore") is not None
-                    else None
-                ),
-                service=(
-                    dict(payload["service"])
-                    if payload.get("service") is not None
-                    else None
-                ),
+                **_sections(payload),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ValidationError(f"malformed manifest payload: {error}")
 
 
+#: The optional, digest-covered manifest sections (see RunManifest).
+MANIFEST_SECTIONS = ("faults", "crash", "explore", "service")
+
+
+def _sections(source: dict) -> dict:
+    """Copy every manifest section out of *source* (None when absent)."""
+    return {
+        name: dict(source[name]) if source.get(name) is not None else None
+        for name in MANIFEST_SECTIONS
+    }
+
+
 def build_manifest(
     stats: Optional[RunnerStats] = None,
     knobs: Optional[dict] = None,
-    faults: Optional[dict] = None,
-    crash: Optional[dict] = None,
-    explore: Optional[dict] = None,
-    service: Optional[dict] = None,
+    **sections: Optional[dict],
 ) -> RunManifest:
     """Assemble a manifest from a driver invocation's runner stats.
 
     ``stats`` is the :func:`~repro.validation.runner.consume_run_stats`
     aggregate (its provenance sets are deterministic for any job count);
-    ``knobs`` records the invocation's configuration flags; ``faults``
-    is the active :meth:`~repro.faults.plan.FaultPlan.to_dict` (if any);
-    ``crash`` the :meth:`~repro.pmem.crash.CrashPlan.to_dict` of a
-    crash-checked invocation; ``explore`` the
-    :meth:`~repro.explore.ExplorePlan.to_dict` of a model-checking one;
-    ``service`` the scenario dict of a KV-service one.
+    ``knobs`` records the invocation's configuration flags; ``sections``
+    fills the optional :data:`MANIFEST_SECTIONS`: ``faults`` the active
+    :meth:`~repro.faults.plan.FaultPlan.to_dict`, ``crash`` the
+    :meth:`~repro.pmem.crash.CrashPlan.to_dict` of a crash-checked
+    invocation, ``explore`` the :meth:`~repro.explore.ExplorePlan.to_dict`
+    of a model-checking one, ``service`` the scenario dict of a
+    KV-service one.
     """
+    unknown = set(sections) - set(MANIFEST_SECTIONS)
+    if unknown:
+        raise TypeError(f"unknown manifest section(s): {sorted(unknown)}")
     archs: dict = {}
     workloads: tuple = ()
     modes: tuple = ()
@@ -208,10 +195,7 @@ def build_manifest(
         seeds=seeds,
         calibration_seeds=calibration_seeds,
         knobs=dict(knobs or {}),
-        faults=dict(faults) if faults is not None else None,
-        crash=dict(crash) if crash is not None else None,
-        explore=dict(explore) if explore is not None else None,
-        service=dict(service) if service is not None else None,
+        **_sections(sections),
     )
 
 
@@ -295,22 +279,16 @@ def write_experiment_json(
     stats: Optional[RunnerStats] = None,
     knobs: Optional[dict] = None,
     manifest: Optional[RunManifest] = None,
-    faults: Optional[dict] = None,
-    crash: Optional[dict] = None,
-    explore: Optional[dict] = None,
-    service: Optional[dict] = None,
+    **sections: Optional[dict],
 ) -> dict:
     """Serialize one experiment to *path*; returns the written document.
 
     The manifest defaults to :func:`build_manifest` over ``stats``,
-    ``knobs``, ``faults``, ``crash``, ``explore``, and ``service``;
-    telemetry is taken from ``stats`` when present.
+    ``knobs`` and the manifest ``sections``; telemetry is taken from
+    ``stats`` when present.
     """
     if manifest is None:
-        manifest = build_manifest(
-            stats=stats, knobs=knobs, faults=faults, crash=crash,
-            explore=explore, service=service,
-        )
+        manifest = build_manifest(stats=stats, knobs=knobs, **sections)
     telemetry = stats.telemetry() if stats is not None else None
     document = build_document(result, manifest, telemetry=telemetry)
     Path(path).write_text(dumps_document(document), encoding="utf-8")

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from repro.errors import ValidationError
+from repro.stats_util import TrialStats, summarize
+
+__all__ = ["TrialStats", "relative_error", "summarize"]
 
 
 def relative_error(measured: float, reference: float) -> float:
@@ -13,44 +13,3 @@ def relative_error(measured: float, reference: float) -> float:
     if reference == 0:
         raise ValidationError("reference value is zero")
     return abs(measured - reference) / abs(reference)
-
-
-@dataclass(frozen=True)
-class TrialStats:
-    """Summary of repeated trials of one measurement."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-
-    @property
-    def spread(self) -> float:
-        """Max minus min (the paper's error bars in Figure 12)."""
-        return self.maximum - self.minimum
-
-
-def summarize(values: list[float]) -> TrialStats:
-    """Mean/std/min/max over trial values.
-
-    ``std`` is the *sample* standard deviation (Bessel's ``n - 1``
-    correction) — the right estimator for the paper's small repeated-trial
-    error bars; a single trial has no spread estimate and reports 0.0.
-    """
-    if not values:
-        raise ValidationError("no trial values to summarize")
-    count = len(values)
-    mean = sum(values) / count
-    if count > 1:
-        variance = sum((value - mean) ** 2 for value in values) / (count - 1)
-        std = math.sqrt(variance)
-    else:
-        std = 0.0
-    return TrialStats(
-        count=count,
-        mean=mean,
-        std=std,
-        minimum=min(values),
-        maximum=max(values),
-    )

@@ -42,6 +42,7 @@ from repro.quartz.calibration import (
 )
 from repro.quartz.config import QuartzConfig
 from repro.quartz.stats import QuartzStats
+from repro.quartz.trace import JsonlTraceWriter
 from repro.explore.litmus import disjoint_locks_body, mutex_log_body
 from repro.pmem.domain import PersistenceDomain
 from repro.service.kvservice import kvservice_main_body
@@ -170,17 +171,10 @@ class RunResult:
     quartz_stats: Optional[QuartzStats] = None
     wall_s: float = 0.0
     events: int = 0
-    calib_memory_hits: int = 0
-    calib_disk_hits: int = 0
-    calib_measurements: int = 0
-    #: Fault injections that actually fired (kind -> count; empty when
-    #: the run was clean).
-    fault_injections: dict = field(default_factory=dict)
-    #: Invariant-monitor counters (all zero when checking was off).
-    invariant_epoch_checks: int = 0
-    invariant_sim_checks: int = 0
-    invariant_violations: int = 0
-    max_epoch_length_ns: float = 0.0
+    #: Flat dotted-key counters of this run (``"crash.violations"``,
+    #: ``"faults.injections.signal_delayed"``, ...); the namespace is
+    #: declared once, in :data:`COUNTER_SECTIONS`.
+    counters: dict = field(default_factory=dict)
     #: Crash-check report dict of a ``crash``-mode run (None otherwise).
     crash_report: Optional[dict] = None
     #: Explore report dict of an ``explore``-mode run (None otherwise).
@@ -303,27 +297,26 @@ def _run_one(payload: tuple) -> RunResult:
     )
     wall = time.perf_counter() - started
     mem1, disk1, meas1, _ = cache_counters.snapshot()
-    events = (
-        outcome.machine.sim.events_dispatched if outcome.machine is not None else 0
-    )
-    invariants = outcome.invariant_report or {}
+    counters = {
+        "calibration_cache.memory_hits": mem1 - mem0,
+        "calibration_cache.disk_hits": disk1 - disk0,
+        "calibration_cache.measurements": meas1 - meas0,
+    }
+    for section in COUNTER_SECTIONS:
+        if section.collect is not None:
+            for key, value in section.collect(outcome).items():
+                counters[f"{section.name}.{key}"] = value
     return RunResult(
         index=index,
         workload_result=outcome.workload_result,
         elapsed_ns=outcome.elapsed_ns,
         quartz_stats=outcome.quartz_stats,
         wall_s=wall,
-        events=events,
-        calib_memory_hits=mem1 - mem0,
-        calib_disk_hits=disk1 - disk0,
-        calib_measurements=meas1 - meas0,
-        fault_injections=dict(
-            (outcome.fault_report or {}).get("injections", {})
+        events=(
+            outcome.machine.sim.events_dispatched
+            if outcome.machine is not None else 0
         ),
-        invariant_epoch_checks=invariants.get("epoch_checks", 0),
-        invariant_sim_checks=invariants.get("sim_checks", 0),
-        invariant_violations=invariants.get("violations", 0),
-        max_epoch_length_ns=invariants.get("max_epoch_length_ns", 0.0),
+        counters=counters,
         crash_report=outcome.crash_report,
         explore_report=outcome.explore_report,
         service_report=outcome.service_report,
@@ -379,77 +372,79 @@ def _prewarm_calibrations(specs: Sequence[RunSpec]) -> int:
     return len(needed)
 
 
-def _completed_results(futures: Sequence) -> list[RunResult]:
-    """Harvest every future that finished cleanly (post-interrupt)."""
-    results = []
-    for future in futures:
-        if future.done() and not future.cancelled():
-            try:
-                if future.exception() is None:
-                    results.append(future.result())
-            except Exception:  # racing cancellation; nothing to keep
-                pass
-    return results
+def _payloads(specs: Sequence[RunSpec]) -> list[tuple]:
+    """The ``(index, spec[, fault_context])`` worker payloads of a grid.
+
+    The active fault context rides in every payload so pool workers see
+    it regardless of start method; per-run seeding keeps any fan-out
+    byte-identical to the in-process order.
+    """
+    context = get_active_faults()
+    if context is None or not context.active:
+        return list(enumerate(specs))
+    fault_context = (context.plan, context.check_invariants)
+    return [(index, spec, fault_context) for index, spec in enumerate(specs)]
+
+
+def _note_in_process(error: BaseException) -> None:
+    print(
+        f"note: process pool unavailable ({error!r}); running in-process",
+        file=sys.stderr,
+    )
 
 
 def _run_parallel(
-    payloads: list[tuple[int, RunSpec]], jobs: int
-) -> Optional[list[RunResult]]:
-    """Fan out over a process pool; ``None`` means "pool unavailable".
+    payloads: list[tuple], jobs: int, deliver: Callable[[RunResult], None]
+) -> bool:
+    """Fan out over a process pool, delivering each result as it finishes.
 
-    Each payload is submitted as its own future (work-queue scheduling:
-    an idle worker always pulls the next pending spec, so one straggler
-    never idles a chunk's worth of workers).  A ``KeyboardInterrupt`` or
-    a pool breaking *mid-sweep* cancels every pending future and raises
-    :class:`~repro.errors.RunInterrupted` carrying the results that did
-    finish — the caller records partial stats instead of losing them.
+    Returns ``False`` when no pool is available; the caller then runs
+    the undelivered payloads in-process.  Each payload is submitted as
+    its own future (work-queue scheduling: an idle worker always pulls
+    the next pending spec, so one straggler never idles a chunk's worth
+    of workers).  A ``KeyboardInterrupt`` (also one raised by
+    ``deliver``) or a pool breaking mid-grid cancels every pending
+    future and delivers the runs that did finish before re-raising, so
+    the caller records partial stats instead of losing them.
     """
     try:
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(payloads)))
     except (NotImplementedError, OSError, PermissionError) as error:
-        print(
-            f"note: process pool unavailable ({error!r}); "
-            "running in-process",
-            file=sys.stderr,
-        )
-        return None
+        _note_in_process(error)
+        return False
     futures: list = []
+    delivered: set = set()
     try:
         futures = [pool.submit(_run_one, payload) for payload in payloads]
-        results = []
         for future in as_completed(futures):
-            results.append(future.result())
-    except (KeyboardInterrupt, BrokenProcessPool) as error:
+            delivered.add(future)
+            deliver(future.result())
+    except (KeyboardInterrupt, BrokenProcessPool):
         for future in futures:
             future.cancel()
         pool.shutdown(wait=False, cancel_futures=True)
-        completed = _completed_results(futures)
-        interrupt = RunInterrupted(
-            f"run grid interrupted ({type(error).__name__}) after "
-            f"{len(completed)} of {len(payloads)} run(s)",
-            completed=len(completed),
-            total=len(payloads),
-        )
-        interrupt.results = completed
-        raise interrupt from error
+        for future in futures:
+            if future in delivered or not future.done() or future.cancelled():
+                continue
+            try:
+                if future.exception() is None:
+                    deliver(future.result())
+            except Exception:  # racing cancellation; nothing to keep
+                pass
+        raise
     except pickle.PicklingError as error:
         pool.shutdown(wait=True, cancel_futures=True)
-        print(
-            f"note: process pool unavailable ({error!r}); "
-            "running in-process",
-            file=sys.stderr,
-        )
-        return None
-    else:
-        pool.shutdown()
-        return results
+        _note_in_process(error)
+        return False
+    pool.shutdown()
+    return True
 
 
 # ----------------------------------------------------------------------
 # Streaming epoch traces (CLI --trace-out)
 # ----------------------------------------------------------------------
 
-_trace_writer = None  # Optional[JsonlTraceWriter]
+_trace_writer: Optional[JsonlTraceWriter] = None
 
 
 def set_trace_out(path: Optional[str]):
@@ -464,9 +459,6 @@ def set_trace_out(path: Optional[str]):
     global _trace_writer
     close_trace_out()
     if path is not None:
-        # Local import: repro.quartz.trace imports validation.metrics.
-        from repro.quartz.trace import JsonlTraceWriter
-
         _trace_writer = JsonlTraceWriter(path)
     return _trace_writer
 
@@ -482,23 +474,180 @@ def close_trace_out() -> Optional[tuple[str, int, int]]:
 
 
 # ----------------------------------------------------------------------
-# Observability
+# Observability: one declared counter namespace
 # ----------------------------------------------------------------------
+
+
+def _from_report(attribute: str, *names: str, **renamed: str):
+    """Collect counters from the report dict ``outcome.<attribute>``.
+
+    ``names`` are copied under their own key; ``renamed`` maps a counter
+    name to the report key it copies.
+    """
+    keys = {**{name: name for name in names}, **renamed}
+
+    def collect(outcome: RunOutcome) -> dict:
+        report = getattr(outcome, attribute)
+        if report is None:
+            return {}
+        return {name: report.get(key, 0) for name, key in keys.items()}
+
+    return collect
+
+
+def _fault_counters(outcome: RunOutcome) -> dict:
+    injections = (outcome.fault_report or {}).get("injections", {})
+    counters = {f"injections.{kind}": count for kind, count in injections.items()}
+    if counters:
+        counters["total"] = sum(injections.values())
+    return counters
+
+
+def _service_counters(outcome: RunOutcome) -> dict:
+    report = outcome.service_report
+    if report is None:
+        return {}
+    counters = {
+        "runs": 1,
+        "ops": report.get("overall", {}).get("ops", 0),
+        "p99_ns_max": 0.0,
+    }
+    for tenant, tenant_report in report.get("tenants", {}).items():
+        p99 = tenant_report.get("p99_ns") or 0.0
+        counters["p99_ns_max"] = max(counters["p99_ns_max"], p99)
+        counters[f"tenants.{tenant}.runs"] = 1
+        counters[f"tenants.{tenant}.ops"] = tenant_report.get("ops", 0)
+        counters[f"tenants.{tenant}.p99_ns_max"] = p99
+        counters[f"tenants.{tenant}.throughput_ops_s_sum"] = tenant_report.get(
+            "throughput_ops_s", 0.0
+        )
+    return counters
+
+
+@dataclass(frozen=True)
+class CounterSection:
+    """One section of the runner's counter namespace.
+
+    Counter keys are dotted paths whose first segment is the section
+    name; telemetry nests them on the dots.  Across runs a counter is
+    summed, except ``*_max`` counters and the ``maxed`` fields, which
+    keep their maximum.
+    """
+
+    name: str
+    #: Counters the section always renders once shown (zero if unset).
+    fields: tuple
+    #: The section shows when any of these is nonzero (always if empty).
+    gate: tuple = ()
+    maxed: tuple = ()
+    #: One run's section-relative counters, from its RunOutcome.
+    collect: Optional[Callable[[RunOutcome], dict]] = None
+    #: The section's clause on the CLI summary line.
+    clause: Optional[Callable[[dict], str]] = None
+
+
+#: Counters outside any section, folded from every run.
+RUN_TOTALS = {"runs": 0, "events": 0, "sim_ns": 0.0, "run_wall_s": 0.0}
+
+#: The namespace, in summary-line order.  Crash ``points`` are summed
+#: over runs: every shard enumerates the full point sequence, so they
+#: count enumeration work, not unique points.
+COUNTER_SECTIONS = (
+    CounterSection(
+        "calibration_cache", ("memory_hits", "disk_hits", "measurements")
+    ),
+    CounterSection(
+        "sweep",
+        ("queue_depth", "specs_skipped", "stream_merge_peak_rows"),
+        gate=("queue_depth", "specs_skipped"),
+        maxed=("queue_depth", "stream_merge_peak_rows"),
+        clause=lambda s: (
+            f"sweep: queue depth {s['queue_depth']}, "
+            f"{s['specs_skipped']} spec(s) skipped via checkpoint, "
+            f"peak {s['stream_merge_peak_rows']} buffered row(s)"
+        ),
+    ),
+    CounterSection(
+        "faults",
+        ("total",),
+        gate=("total",),
+        collect=_fault_counters,
+        clause=lambda s: f"faults: {s['total']} injection(s)",
+    ),
+    CounterSection(
+        "invariants",
+        ("epoch_checks", "sim_checks", "violations", "max_epoch_length_ns"),
+        gate=("epoch_checks", "sim_checks"),
+        maxed=("max_epoch_length_ns",),
+        collect=_from_report(
+            "invariant_report",
+            "epoch_checks", "sim_checks", "violations", "max_epoch_length_ns",
+        ),
+        clause=lambda s: (
+            f"invariants: {s['epoch_checks']} epoch + "
+            f"{s['sim_checks']} sim checks, {s['violations']} violation(s)"
+        ),
+    ),
+    CounterSection(
+        "crash",
+        ("points", "images_checked", "violations"),
+        gate=("images_checked",),
+        collect=_from_report(
+            "crash_report", "points",
+            images_checked="checked", violations="violation_total",
+        ),
+        clause=lambda s: (
+            f"crash: {s['images_checked']} image(s) checked, "
+            f"{s['violations']} violation(s)"
+        ),
+    ),
+    CounterSection(
+        "explore",
+        ("schedules", "executions", "pruned", "images_checked", "violations"),
+        gate=("schedules",),
+        collect=_from_report(
+            "explore_report",
+            "schedules", "executions", "pruned", "images_checked",
+            violations="violation_total",
+        ),
+        clause=lambda s: (
+            f"explore: {s['schedules']} schedule(s) ({s['pruned']} pruned), "
+            f"{s['images_checked']} image(s) checked, "
+            f"{s['violations']} violation(s)"
+        ),
+    ),
+    CounterSection(
+        "service",
+        ("runs", "ops", "p99_ns_max"),
+        gate=("runs",),
+        collect=_service_counters,
+        clause=lambda s: (
+            f"service: {s['ops']:,} op(s) over "
+            f"{len(s.get('tenants', {}))} tenant(s), "
+            f"worst p99 {s['p99_ns_max'] / 1e3:.1f}us"
+        ),
+    ),
+)
+
+_ZEROS = {
+    **RUN_TOTALS,
+    **{
+        f"{section.name}.{name}": 0
+        for section in COUNTER_SECTIONS
+        for name in section.fields
+    },
+}
+_MAXED = frozenset(
+    f"{section.name}.{name}" for section in COUNTER_SECTIONS for name in section.maxed
+)
 
 
 @dataclass
 class RunnerStats:
     """Aggregate observability over one driver invocation."""
 
-    runs: int = 0
     jobs: int = 1
     wall_s: float = 0.0
-    run_wall_s: float = 0.0
-    events: int = 0
-    sim_ns: float = 0.0
-    calib_memory_hits: int = 0
-    calib_disk_hits: int = 0
-    calib_measurements: int = 0
     #: How the accumulation window ended: ``"completed"`` normally,
     #: ``"interrupted"`` when a grid/sweep was cut short (Ctrl-C, broken
     #: pool, deterministic crash point) with only partial results.
@@ -506,13 +655,6 @@ class RunnerStats:
     #: Per-run wall times (seconds), one entry per executed run — the
     #: raw series behind the p50/p99 tail summary.
     run_wall_times: list = field(default_factory=list)
-    #: Sweep-orchestration counters (zero outside ``run_sweep``): the
-    #: work queue's high-water mark of submitted-but-unfinished specs,
-    #: specs satisfied from a checkpoint journal without re-execution,
-    #: and the streaming merge's peak count of buffered result rows.
-    queue_depth: int = 0
-    specs_skipped: int = 0
-    stream_merge_peak_rows: int = 0
     #: Provenance of the grid (deterministic for any job count): which
     #: testbeds, workloads, modes, and seeds the runs covered.  These
     #: feed the exported :class:`~repro.validation.export.RunManifest`.
@@ -521,51 +663,46 @@ class RunnerStats:
     modes: set = field(default_factory=set)
     seeds: set = field(default_factory=set)
     calibration_seeds: set = field(default_factory=set)
-    #: Aggregated fault injections (kind -> count) across all runs.
-    fault_injections: dict = field(default_factory=dict)
-    invariant_epoch_checks: int = 0
-    invariant_sim_checks: int = 0
-    invariant_violations: int = 0
-    max_epoch_length_ns: float = 0.0
-    #: Crash-checker aggregates (``crash``-mode runs only).  Points are
-    #: summed over runs: every shard of a sharded run enumerates the full
-    #: point sequence, so this counts enumeration work, not unique points.
-    crash_points: int = 0
-    crash_images_checked: int = 0
-    crash_violations: int = 0
-    #: Explorer aggregates (``explore``-mode runs only): schedules whose
-    #: full behaviour was oracle-checked, controlled executions spent
-    #: getting there, branches pruned as redundant, crash images checked
-    #: across the whole cross product, and distinct violations found.
-    explore_schedules: int = 0
-    explore_executions: int = 0
-    explore_pruned: int = 0
-    explore_images_checked: int = 0
-    explore_violations: int = 0
-    #: KV-service aggregates (``service``-mode runs only): runs, total
-    #: operations, the worst p99 seen, and per-tenant rollups
-    #: (tenant -> {runs, ops, p99_ns_max, throughput_ops_s_sum}).
-    service_runs: int = 0
-    service_ops: int = 0
-    service_p99_ns_max: float = 0.0
-    service_tenants: dict = field(default_factory=dict)
+    #: Every run's counters folded together (see :data:`COUNTER_SECTIONS`).
+    counters: dict = field(default_factory=dict)
+
+    def fold(self, counters: dict) -> None:
+        """Fold one batch of counters in: max for high-water marks, else sum."""
+        mine = self.counters
+        for key, value in counters.items():
+            if key not in mine:
+                mine[key] = value
+            elif key in _MAXED or key.endswith("_max"):
+                mine[key] = max(mine[key], value)
+            else:
+                mine[key] += value
+
+    @property
+    def runs(self) -> int:
+        return self.counters.get("runs", 0)
+
+    @property
+    def events(self) -> int:
+        return self.counters.get("events", 0)
 
     @property
     def calib_hits(self) -> int:
         """Calibration requests served from either cache layer."""
-        return self.calib_memory_hits + self.calib_disk_hits
+        return self.counters.get(
+            "calibration_cache.memory_hits", 0
+        ) + self.counters.get("calibration_cache.disk_hits", 0)
 
     @property
-    def faults_injected(self) -> int:
-        """Total fault injections across every run and kind."""
-        return sum(self.fault_injections.values())
+    def calib_measurements(self) -> int:
+        return self.counters.get("calibration_cache.measurements", 0)
 
     @property
     def events_per_sec(self) -> Optional[float]:
         """Kernel dispatch throughput over summed per-run wall time."""
-        if self.run_wall_s <= 0.0:
+        run_wall_s = self.counters.get("run_wall_s", 0.0)
+        if run_wall_s <= 0.0:
             return None
-        return self.events / self.run_wall_s
+        return self.events / run_wall_s
 
     def wall_percentile(self, fraction: float) -> Optional[float]:
         """Nearest-rank percentile of the per-run wall times (seconds)."""
@@ -581,55 +718,44 @@ class RunnerStats:
         """99th-percentile per-run wall time."""
         return self.wall_percentile(0.99)
 
+    def sections(self) -> dict:
+        """The counters nested on their dots, zeros filled in, closed
+        sections (gate all zero) left out."""
+        tree: dict = {}
+        for key, value in (*_ZEROS.items(), *self.counters.items()):
+            *path, leaf = key.split(".")
+            node = tree
+            for part in path:
+                node = node.setdefault(part, {})
+            node[leaf] = value
+        for section in COUNTER_SECTIONS:
+            view = tree[section.name]
+            if section.gate and not any(view[name] for name in section.gate):
+                del tree[section.name]
+        return tree
+
     def summary(self) -> str:
         """The CLI summary line."""
+        tree = self.sections()
+        cache = tree["calibration_cache"]
         rate = self.events_per_sec
         rate_text = f" ({rate:,.0f} ev/s)" if rate is not None else ""
         line = (
-            f"runner: {self.runs} runs on {self.jobs} job(s), "
-            f"{self.events:,} events{rate_text}, "
-            f"{self.run_wall_s:.1f}s total run time in {self.wall_s:.1f}s wall; "
+            f"runner: {tree['runs']} runs on {self.jobs} job(s), "
+            f"{tree['events']:,} events{rate_text}, "
+            f"{tree['run_wall_s']:.1f}s total run time in {self.wall_s:.1f}s wall; "
             f"calibration cache: {self.calib_hits} hits "
-            f"({self.calib_memory_hits} memory / {self.calib_disk_hits} disk), "
-            f"{self.calib_measurements} measurements"
+            f"({cache['memory_hits']} memory / {cache['disk_hits']} disk), "
+            f"{cache['measurements']} measurements"
         )
         p50, p99 = self.wall_p50_s, self.wall_p99_s
         if p50 is not None and p99 is not None:
             line += f"; per-run wall p50/p99: {p50 * 1e3:.1f}/{p99 * 1e3:.1f}ms"
-        if self.queue_depth or self.specs_skipped:
-            line += (
-                f"; sweep: queue depth {self.queue_depth}, "
-                f"{self.specs_skipped} spec(s) skipped via checkpoint, "
-                f"peak {self.stream_merge_peak_rows} buffered row(s)"
-            )
+        for section in COUNTER_SECTIONS:
+            if section.clause is not None and section.name in tree:
+                line += "; " + section.clause(tree[section.name])
         if self.stop_reason != "completed":
             line += f"; stopped: {self.stop_reason}"
-        if self.fault_injections:
-            line += f"; faults: {self.faults_injected} injection(s)"
-        if self.invariant_epoch_checks or self.invariant_sim_checks:
-            line += (
-                f"; invariants: {self.invariant_epoch_checks} epoch + "
-                f"{self.invariant_sim_checks} sim checks, "
-                f"{self.invariant_violations} violation(s)"
-            )
-        if self.crash_images_checked:
-            line += (
-                f"; crash: {self.crash_images_checked} image(s) checked, "
-                f"{self.crash_violations} violation(s)"
-            )
-        if self.explore_schedules:
-            line += (
-                f"; explore: {self.explore_schedules} schedule(s) "
-                f"({self.explore_pruned} pruned), "
-                f"{self.explore_images_checked} image(s) checked, "
-                f"{self.explore_violations} violation(s)"
-            )
-        if self.service_runs:
-            line += (
-                f"; service: {self.service_ops:,} op(s) over "
-                f"{len(self.service_tenants)} tenant(s), "
-                f"worst p99 {self.service_p99_ns_max / 1e3:.1f}us"
-            )
         return line
 
     def telemetry(self) -> dict:
@@ -640,66 +766,15 @@ class RunnerStats:
         between invocations (and between ``--jobs`` values), so they
         live outside the canonical, digest-covered portion.
         """
-        payload: dict = {
-            "runs": self.runs,
+        return {
+            **self.sections(),
             "jobs": self.jobs,
             "wall_s": self.wall_s,
-            "run_wall_s": self.run_wall_s,
             "wall_p50_s": self.wall_p50_s,
             "wall_p99_s": self.wall_p99_s,
-            "events": self.events,
             "events_per_sec": self.events_per_sec,
-            "sim_ns": self.sim_ns,
             "stop_reason": self.stop_reason,
-            "calibration_cache": {
-                "memory_hits": self.calib_memory_hits,
-                "disk_hits": self.calib_disk_hits,
-                "measurements": self.calib_measurements,
-            },
         }
-        if self.queue_depth or self.specs_skipped:
-            payload["sweep"] = {
-                "queue_depth": self.queue_depth,
-                "specs_skipped": self.specs_skipped,
-                "stream_merge_peak_rows": self.stream_merge_peak_rows,
-            }
-        if self.fault_injections:
-            payload["faults"] = {
-                "injections": dict(sorted(self.fault_injections.items())),
-                "total": self.faults_injected,
-            }
-        if self.invariant_epoch_checks or self.invariant_sim_checks:
-            payload["invariants"] = {
-                "epoch_checks": self.invariant_epoch_checks,
-                "sim_checks": self.invariant_sim_checks,
-                "violations": self.invariant_violations,
-                "max_epoch_length_ns": self.max_epoch_length_ns,
-            }
-        if self.crash_images_checked:
-            payload["crash"] = {
-                "points": self.crash_points,
-                "images_checked": self.crash_images_checked,
-                "violations": self.crash_violations,
-            }
-        if self.explore_schedules:
-            payload["explore"] = {
-                "schedules": self.explore_schedules,
-                "executions": self.explore_executions,
-                "pruned": self.explore_pruned,
-                "images_checked": self.explore_images_checked,
-                "violations": self.explore_violations,
-            }
-        if self.service_runs:
-            payload["service"] = {
-                "runs": self.service_runs,
-                "ops": self.service_ops,
-                "p99_ns_max": self.service_p99_ns_max,
-                "tenants": {
-                    tenant: dict(rollup)
-                    for tenant, rollup in sorted(self.service_tenants.items())
-                },
-            }
-        return payload
 
 
 _run_stats: Optional[RunnerStats] = None
@@ -744,58 +819,14 @@ def _record_spec(stats: RunnerStats, spec: RunSpec) -> None:
 
 def _record_result(stats: RunnerStats, result: RunResult) -> None:
     """Fold one executed run's counters into the window."""
-    stats.runs += 1
-    stats.run_wall_s += result.wall_s
     stats.run_wall_times.append(result.wall_s)
-    stats.events += result.events
-    stats.sim_ns += result.elapsed_ns
-    stats.calib_memory_hits += result.calib_memory_hits
-    stats.calib_disk_hits += result.calib_disk_hits
-    stats.calib_measurements += result.calib_measurements
-    for kind, count in result.fault_injections.items():
-        stats.fault_injections[kind] = (
-            stats.fault_injections.get(kind, 0) + count
-        )
-    stats.invariant_epoch_checks += result.invariant_epoch_checks
-    stats.invariant_sim_checks += result.invariant_sim_checks
-    stats.invariant_violations += result.invariant_violations
-    stats.max_epoch_length_ns = max(
-        stats.max_epoch_length_ns, result.max_epoch_length_ns
-    )
-    if result.crash_report is not None:
-        stats.crash_points += result.crash_report.get("points", 0)
-        stats.crash_images_checked += result.crash_report.get("checked", 0)
-        stats.crash_violations += result.crash_report.get(
-            "violation_total", 0
-        )
-    if result.service_report is not None:
-        stats.service_runs += 1
-        overall = result.service_report.get("overall", {})
-        stats.service_ops += overall.get("ops", 0)
-        for tenant, report in result.service_report.get("tenants", {}).items():
-            p99 = report.get("p99_ns") or 0.0
-            stats.service_p99_ns_max = max(stats.service_p99_ns_max, p99)
-            rollup = stats.service_tenants.setdefault(
-                tenant,
-                {"runs": 0, "ops": 0, "p99_ns_max": 0.0,
-                 "throughput_ops_s_sum": 0.0},
-            )
-            rollup["runs"] += 1
-            rollup["ops"] += report.get("ops", 0)
-            rollup["p99_ns_max"] = max(rollup["p99_ns_max"], p99)
-            rollup["throughput_ops_s_sum"] += report.get(
-                "throughput_ops_s", 0.0
-            )
-    if result.explore_report is not None:
-        stats.explore_schedules += result.explore_report.get("schedules", 0)
-        stats.explore_executions += result.explore_report.get("executions", 0)
-        stats.explore_pruned += result.explore_report.get("pruned", 0)
-        stats.explore_images_checked += result.explore_report.get(
-            "images_checked", 0
-        )
-        stats.explore_violations += result.explore_report.get(
-            "violation_total", 0
-        )
+    stats.fold({
+        "runs": 1,
+        "events": result.events,
+        "sim_ns": result.elapsed_ns,
+        "run_wall_s": result.wall_s,
+        **result.counters,
+    })
 
 
 def _record_stats(
@@ -834,53 +865,35 @@ def run_specs(
         # Streaming a trace: stay in-process so the JSONL stream is
         # ordered and single-writer (results are identical either way).
         jobs = 1
-    context = get_active_faults()
-    if context is not None and context.active:
-        # The fault context rides in every payload so pool workers see it
-        # regardless of start method; per-run seeding keeps any fan-out
-        # byte-identical to the in-process order.
-        fault_context = (context.plan, context.check_invariants)
-        payloads: list[tuple] = [
-            (index, spec, fault_context) for index, spec in enumerate(specs)
-        ]
-    else:
-        payloads = list(enumerate(specs))
+    payloads = _payloads(specs)
     started = time.perf_counter()
-    results: Optional[list[RunResult]] = None
+    results: list[RunResult] = []
     try:
-        if jobs > 1 and len(payloads) > 1:
+        parallel = jobs > 1 and len(payloads) > 1
+        if parallel:
             _prewarm_calibrations(specs)
-            results = _run_parallel(payloads, jobs)
-        if results is None:
+            parallel = _run_parallel(payloads, jobs, results.append)
+        if not parallel:
             jobs = 1
-            results = []
-            for payload in payloads:
+        done = {result.index for result in results}
+        for payload in payloads:
+            if payload[0] not in done:
                 results.append(_run_one(payload))
-    except RunInterrupted as interrupt:
+    except (KeyboardInterrupt, BrokenProcessPool) as error:
         # Completed work is not lost: record the partial window (the CLI
-        # prints its summary) before letting the interrupt propagate.
-        partial = sorted(
-            getattr(interrupt, "results", []), key=lambda r: r.index
-        )
+        # prints its summary) before raising.
+        results.sort(key=lambda result: result.index)
         _record_stats(
-            specs, partial, jobs, time.perf_counter() - started,
-            stop_reason="interrupted",
-        )
-        raise
-    except KeyboardInterrupt as error:
-        # Ctrl-C during the in-process loop: everything before the
-        # current payload finished cleanly.
-        _record_stats(
-            specs, results or [], jobs, time.perf_counter() - started,
+            specs, results, jobs, time.perf_counter() - started,
             stop_reason="interrupted",
         )
         interrupt = RunInterrupted(
-            f"run grid interrupted (KeyboardInterrupt) after "
-            f"{len(results or [])} of {len(payloads)} run(s)",
-            completed=len(results or []),
+            f"run grid interrupted ({type(error).__name__}) after "
+            f"{len(results)} of {len(payloads)} run(s)",
+            completed=len(results),
             total=len(payloads),
         )
-        interrupt.results = list(results or [])
+        interrupt.results = list(results)
         raise interrupt from error
     results.sort(key=lambda result: result.index)
     _record_stats(specs, results, jobs, time.perf_counter() - started)

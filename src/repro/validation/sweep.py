@@ -43,23 +43,23 @@ import json
 import pickle
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from repro.errors import RunInterrupted, ValidationError
-from repro.faults.context import get_active_faults
 from repro.validation import runner as runner_module
 from repro.validation.runner import (
     RunResult,
     RunSpec,
     _ensure_stats,
+    _payloads,
     _prewarm_calibrations,
     _record_result,
     _record_spec,
     _run_one,
+    _run_parallel,
     resolve_jobs,
 )
 
@@ -499,20 +499,12 @@ def run_sweep(
         if fingerprint not in reusable
     ]
     report.skipped = total - len(todo)
-    stats.specs_skipped += report.skipped
-    stats.queue_depth = max(stats.queue_depth, len(todo))
+    stats.fold({
+        "sweep.specs_skipped": report.skipped,
+        "sweep.queue_depth": len(todo),
+    })
 
-    context = get_active_faults()
-    fault_context = (
-        (context.plan, context.check_invariants)
-        if context is not None and context.active
-        else None
-    )
-
-    def payload(index: int):
-        if fault_context is not None:
-            return (index, specs[index], fault_context)
-        return (index, specs[index])
+    payloads = _payloads(specs)
 
     # Streaming in-order merge state.
     next_index = 0
@@ -534,9 +526,11 @@ def run_sweep(
                 consume(specs[next_index], result)
             next_index += 1
 
-    def finish_one(
-        index: int, result: RunResult, check_interrupt: bool = True
-    ) -> None:
+    interrupted = False
+
+    def finish_one(result: RunResult) -> None:
+        nonlocal interrupted
+        index = result.index
         report.executed += 1
         done_indices.add(index)
         if journal is not None:
@@ -544,15 +538,14 @@ def run_sweep(
         _record_result(stats, result)
         pending[index] = result
         report.peak_buffered = max(report.peak_buffered, len(pending))
-        stats.stream_merge_peak_rows = max(
-            stats.stream_merge_peak_rows, len(pending)
-        )
+        stats.fold({"sweep.stream_merge_peak_rows": len(pending)})
         drain()
         if (
-            check_interrupt
+            not interrupted
             and interrupt_after is not None
             and report.executed >= interrupt_after
         ):
+            interrupted = True  # raised once; later deliveries just record
             raise KeyboardInterrupt
 
     def record_interrupt(error: BaseException) -> RunInterrupted:
@@ -568,64 +561,16 @@ def run_sweep(
         return interrupt
 
     try:
-        remaining = list(todo)
-        if jobs > 1 and len(remaining) > 1:
-            _prewarm_calibrations([specs[index] for index in remaining])
-            try:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(jobs, len(remaining))
-                )
-            except (NotImplementedError, OSError, PermissionError) as error:
-                print(
-                    f"note: process pool unavailable ({error!r}); "
-                    "running in-process",
-                    file=sys.stderr,
-                )
-            else:
-                future_index: dict = {}
-                try:
-                    future_index = {
-                        pool.submit(_run_one, payload(index)): index
-                        for index in remaining
-                    }
-                    for future in as_completed(future_index):
-                        finish_one(future_index[future], future.result())
-                except (KeyboardInterrupt, BrokenProcessPool) as error:
-                    for future in future_index:
-                        future.cancel()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    # Checkpoint runs that finished but were not yet
-                    # merged — an interrupt wastes nothing journaled.
-                    for future, index in future_index.items():
-                        if index in done_indices or not future.done():
-                            continue
-                        if future.cancelled():
-                            continue
-                        try:
-                            if future.exception() is None:
-                                finish_one(
-                                    index, future.result(),
-                                    check_interrupt=False,
-                                )
-                        except Exception:
-                            pass
-                    raise record_interrupt(error) from error
-                except pickle.PicklingError as error:
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    print(
-                        f"note: process pool unavailable ({error!r}); "
-                        "running in-process",
-                        file=sys.stderr,
-                    )
-                else:
-                    pool.shutdown()
-        remaining = [index for index in todo if index not in done_indices]
-        try:
-            for index in remaining:
-                finish_one(index, _run_one(payload(index)))
-        except KeyboardInterrupt as error:
-            raise record_interrupt(error) from error
+        if jobs > 1 and len(todo) > 1:
+            _prewarm_calibrations([specs[index] for index in todo])
+            _run_parallel([payloads[index] for index in todo], jobs, finish_one)
+        for index in todo:
+            if index not in done_indices:
+                finish_one(_run_one(payloads[index]))
         drain()
+    except (KeyboardInterrupt, BrokenProcessPool) as error:
+        # Every run that finished is already journaled.
+        raise record_interrupt(error) from error
     finally:
         if journal is not None:
             journal.close()

@@ -140,7 +140,7 @@ def test_service_accounting_holds_under_faults():
     reset_run_stats()
     with active_faults(plan, check_invariants=True):
         [run] = run_specs([_spec()], jobs=1)
-    assert run.invariant_violations == 0
+    assert run.counters["invariants.violations"] == 0
     totals = run.service_report["cache"]["totals"]
     assert totals["hits"] + totals["misses"] == totals["lookups"]
 

@@ -328,3 +328,68 @@ def test_sweep_status_missing_directory_exits_two(tmp_path, capsys):
 def test_sweep_unknown_preset_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["sweep", "run", "no-such-grid", "--dir", str(tmp_path / "x")])
+
+
+# ----------------------------------------------------------------------
+# The shared execute path: JSON purity and interrupt exit codes
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, section", [
+    (["crash-check", "kvstore", "--mutant", "none", "--shards", "1"], "crash"),
+    (["explore", "mutex-log", "--mutant", "none", "--shards", "1"], "explore"),
+    (["service", "latency-smoke"], "service"),
+])
+def test_format_json_stdout_is_pure_document(argv, section, capsys):
+    import json
+
+    assert main([*argv, "--jobs", "1", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    document = json.loads(captured.out)
+    assert document["manifest"][section]
+    assert document["manifest"]["knobs"]["command"] == argv[0]
+    assert document["telemetry"][section]
+    assert "completed in" in captured.err
+    assert "runner:" in captured.err
+
+
+def _interrupting_driver(*args, **kwargs):
+    """A driver that finishes one run, then is interrupted."""
+    from repro.errors import RunInterrupted
+    from repro.validation.runner import RunSpec, run_specs
+    from repro.workloads.memlat import MemLatConfig
+
+    run_specs(
+        [RunSpec("memlat", MemLatConfig(iterations=1_000), "ivy-bridge")],
+        jobs=1,
+    )
+    raise RunInterrupted("stub interrupt", completed=1, total=2)
+
+
+@pytest.mark.parametrize("command", [
+    "run", "crash-check", "explore", "service", "sweep",
+])
+def test_interrupted_driver_exits_130_with_summary(
+    command, monkeypatch, tmp_path, capsys
+):
+    from repro.validation.experiments import crash, explore, sweeps
+
+    monkeypatch.setitem(REGISTRY, "stub-exp", _interrupting_driver)
+    monkeypatch.setitem(REGISTRY, "service-latency", _interrupting_driver)
+    monkeypatch.setattr(crash, "run_crash_check", _interrupting_driver)
+    monkeypatch.setattr(explore, "run_explore_check", _interrupting_driver)
+    monkeypatch.setattr(sweeps, "start_sweep", _interrupting_driver)
+    argv = {
+        "run": ["run", "stub-exp"],
+        "crash-check": ["crash-check", "kvstore"],
+        "explore": ["explore", "mutex-log"],
+        "service": ["service", "latency-smoke"],
+        "sweep": ["sweep", "run", "latency-grid", "--dir", str(tmp_path)],
+    }[command]
+    assert main([*argv, "--jobs", "1"]) == 130
+    captured = capsys.readouterr()
+    assert "interrupted: stub interrupt" in captured.err
+    assert "runner: 1 runs" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+

@@ -70,6 +70,16 @@ def _memlat_spec(seed: int) -> RunSpec:
 # ----------------------------------------------------------------------
 
 
+def _injections(result) -> dict:
+    """Fault kind -> injection count, from a run's counters."""
+    prefix = "faults.injections."
+    return {
+        key[len(prefix):]: count
+        for key, count in result.counters.items()
+        if key.startswith(prefix)
+    }
+
+
 def test_faulted_runs_are_job_count_invariant():
     specs = [_memlat_spec(seed) for seed in (1, 2, 3, 4)]
     with active_faults(LIGHT_PLAN, check_invariants=True):
@@ -84,12 +94,14 @@ def test_faulted_runs_are_job_count_invariant():
         assert seq.elapsed_ns == par.elapsed_ns
         assert seq.events == par.events
         # The *same* faults fired, not just equally many.
-        assert seq.fault_injections == par.fault_injections
-        assert seq.invariant_epoch_checks == par.invariant_epoch_checks
-        assert seq.invariant_sim_checks == par.invariant_sim_checks
-        assert seq.max_epoch_length_ns == par.max_epoch_length_ns
-    assert any(seq.fault_injections for seq in sequential)
-    assert all(r.invariant_violations == 0 for r in sequential + parallel)
+        assert _injections(seq) == _injections(par)
+        for name in ("epoch_checks", "sim_checks", "max_epoch_length_ns"):
+            key = f"invariants.{name}"
+            assert seq.counters[key] == par.counters[key]
+    assert any(_injections(seq) for seq in sequential)
+    assert all(
+        r.counters["invariants.violations"] == 0 for r in sequential + parallel
+    )
 
 
 def test_fault_context_reaches_workers_and_stats():
@@ -97,12 +109,12 @@ def test_fault_context_reaches_workers_and_stats():
     with active_faults(LIGHT_PLAN, check_invariants=True):
         results = run_specs([_memlat_spec(5), _memlat_spec(6)], jobs=2)
     stats = consume_run_stats()
-    assert stats.faults_injected == sum(
-        sum(r.fault_injections.values()) for r in results
+    assert stats.counters["faults.total"] == sum(
+        sum(_injections(r).values()) for r in results
     )
-    assert stats.faults_injected > 0
-    assert stats.invariant_epoch_checks > 0
-    assert stats.invariant_violations == 0
+    assert stats.counters["faults.total"] > 0
+    assert stats.counters["invariants.epoch_checks"] > 0
+    assert stats.counters["invariants.violations"] == 0
     assert "faults" in stats.summary()
     assert "invariants" in stats.summary()
 
@@ -111,8 +123,8 @@ def test_runs_outside_the_context_stay_clean():
     with active_faults(LIGHT_PLAN, check_invariants=True):
         pass  # context opened and closed: nothing may leak out
     results = run_specs([_memlat_spec(7)], jobs=1)
-    assert results[0].fault_injections == {}
-    assert results[0].invariant_epoch_checks == 0
+    assert _injections(results[0]) == {}
+    assert results[0].counters.get("invariants.epoch_checks", 0) == 0
 
 
 def test_per_run_seeding_differs_between_runs():
@@ -121,8 +133,8 @@ def test_per_run_seeding_differs_between_runs():
     # could reorder).
     with active_faults(LIGHT_PLAN, check_invariants=False):
         a, b = run_specs([_memlat_spec(1), _memlat_spec(2)], jobs=1)
-    assert a.fault_injections or b.fault_injections
-    assert (a.fault_injections, a.elapsed_ns) != (b.fault_injections, b.elapsed_ns)
+    assert _injections(a) or _injections(b)
+    assert (_injections(a), a.elapsed_ns) != (_injections(b), b.elapsed_ns)
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +150,6 @@ def test_registry_experiment_runs_faulted_without_violations(experiment_id):
     assert result.rows, f"{experiment_id}: no rows produced under faults"
     stats = consume_run_stats()
     if stats is not None:
-        assert stats.invariant_violations == 0, (
+        assert stats.counters.get("invariants.violations", 0) == 0, (
             f"{experiment_id}: invariant violation(s) under light faults"
         )

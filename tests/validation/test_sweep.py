@@ -180,7 +180,7 @@ def test_report_counts_and_peak_buffer():
     # Sequential execution merges every result immediately.
     assert report.peak_buffered <= 1
     stats = consume_run_stats()
-    assert stats.queue_depth == 3
+    assert stats.counters["sweep.queue_depth"] == 3
     assert stats.telemetry()["sweep"]["stream_merge_peak_rows"] <= 1
 
 
