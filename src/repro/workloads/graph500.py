@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import WorkloadError
 from repro.hw.topology import PageSize
@@ -33,6 +31,9 @@ from repro.workloads.graphs import (
     synthetic_power_law,
     synthetic_scale_free,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,8 @@ def _expand_frontier(
     graph: CsrGraph, frontier: np.ndarray, parents: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """Vectorised level expansion: returns (next frontier, edges inspected)."""
+    import numpy as np
+
     starts = graph.row_ptr[frontier]
     counts = graph.row_ptr[frontier + 1] - starts
     total = int(counts.sum())
@@ -136,6 +139,8 @@ def graph500_body(
 
     def body(ctx):
         nonlocal graph
+        import numpy as np
+
         if graph is None:
             graph = default_graph(config)
         n = graph.vertex_count
@@ -221,6 +226,8 @@ def _bfs_parent_levels(
     durable.  Must stay in lockstep with the body's use of
     :func:`_expand_frontier`.
     """
+    import numpy as np
+
     parents = np.full(graph.vertex_count, -1, dtype=np.int64)
     levels = np.full(graph.vertex_count, -1, dtype=np.int64)
     parents[root] = root
@@ -272,6 +279,8 @@ def recoverable_graph500_body(
 
     def body(ctx):
         nonlocal graph
+        import numpy as np
+
         if graph is None:
             graph = default_graph(config)
         n = graph.vertex_count

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import WorkloadError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,8 @@ class CsrGraph:
 
     def out_degrees(self) -> np.ndarray:
         """Out-degree of every vertex."""
+        import numpy as np
+
         return np.diff(self.row_ptr)
 
     def neighbors(self, vertex: int) -> np.ndarray:
@@ -60,6 +64,8 @@ def synthetic_scale_free(
     endpoint list), yielding the heavy-tailed degree distribution of web
     and social graphs.
     """
+    import numpy as np
+
     if vertex_count < 2:
         raise WorkloadError(f"need at least two vertices: {vertex_count}")
     if edges_per_vertex < 1:
@@ -109,6 +115,8 @@ def synthetic_power_law(
     be too slow.  Degrees are Zipf-distributed with the given exponent
     (clipped), stubs are shuffled and paired; self-loops are dropped.
     """
+    import numpy as np
+
     if vertex_count < 2:
         raise WorkloadError(f"need at least two vertices: {vertex_count}")
     if avg_degree < 1:

@@ -18,9 +18,7 @@ emulator's injected delays stretch exactly the phases a slower NVM would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import WorkloadError
 from repro.hw.topology import PageSize
@@ -31,6 +29,9 @@ from repro.workloads.graphs import (
     synthetic_power_law,
     synthetic_scale_free,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def default_graph(config: "PageRankConfig") -> CsrGraph:
@@ -105,6 +106,8 @@ class PageRankResult:
     @property
     def top_vertex(self) -> int:
         """Highest-ranked vertex (sanity hook: hubs should win)."""
+        import numpy as np
+
         return int(np.argmax(self.ranks))
 
 
@@ -115,6 +118,8 @@ def pagerank_body(
 
     def body(ctx):
         nonlocal graph
+        import numpy as np
+
         if graph is None:
             graph = default_graph(config)
         n = graph.vertex_count

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.errors import WorkloadError
 from repro.hw.topology import PageSize
 from repro.ops import BarrierWait, JoinThread, MemBatch, PatternKind, SpawnThread
@@ -44,6 +42,8 @@ class ParallelPageRankConfig:
 
 def _partition_by_edges(graph: CsrGraph, parts: int) -> list[tuple[int, int]]:
     """Split vertices into ranges with roughly equal in-edge counts."""
+    import numpy as np
+
     targets = [
         round(index * graph.edge_count / parts) for index in range(parts + 1)
     ]
@@ -59,6 +59,8 @@ class _SharedState:
     """Cross-thread iteration state (plain Python, DES-atomic)."""
 
     def __init__(self, graph: CsrGraph, config: PageRankConfig):
+        import numpy as np
+
         self.graph = graph
         self.config = config
         self.out_degree = np.maximum(graph.out_degrees(), 1)
@@ -74,6 +76,8 @@ class _SharedState:
 
 
 def _worker_body(ctx, shared: _SharedState, regions, vertex_range, barrier):
+    import numpy as np
+
     config = shared.config
     graph = shared.graph
     low, high = vertex_range

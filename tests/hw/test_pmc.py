@@ -1,9 +1,15 @@
 """Tests for the performance-counter model."""
 
+import dataclasses
+import random
+import types
+import zlib
+
 import pytest
 
 from repro.errors import HardwareError
-from repro.hw import HASWELL, IVY_BRIDGE, SANDY_BRIDGE
+from repro.hw import ALL_ARCHS, HASWELL, IVY_BRIDGE, SANDY_BRIDGE, Machine
+from repro.hw import pmc as pmc_module
 from repro.hw.pmc import PmcFile
 from repro.sim import Simulator
 
@@ -137,3 +143,88 @@ def test_sandy_bridge_noisier_than_ivy_bridge():
         return sum(deviations) / len(deviations)
 
     assert spread(SANDY_BRIDGE) > 2 * spread(IVY_BRIDGE)
+
+
+def _per_instance_bias(arch, core_id):
+    """The bias derivation as each PmcFile once ran it for itself."""
+    bias = {}
+    for name in sorted(set(arch.counter_events.all_events())):
+        fingerprint = zlib.crc32(
+            f"pmc/{arch.name}/core{core_id}/{name}".encode("utf-8")
+        )
+        rng = random.Random(fingerprint)
+        bias[name] = 1.0 + rng.gauss(0.0, arch.counter_fidelity.bias_sigma)
+    return bias
+
+
+@pytest.mark.parametrize("arch", ALL_ARCHS, ids=lambda arch: arch.name)
+def test_memoised_bias_matches_per_instance_derivation(arch):
+    machine = Machine(Simulator(seed=5), arch)
+    assert len(machine.pmcs) == arch.sockets * arch.cores_per_socket * arch.smt
+    for pmc in machine.pmcs:
+        expected = _per_instance_bias(arch, pmc.core_id)
+        assert dict(pmc._bias) == expected
+        # Bit for bit, not merely equal as floats.
+        assert [value.hex() for value in pmc._bias.values()] == [
+            value.hex() for value in expected.values()
+        ]
+
+
+def test_bias_is_keyed_on_sigma_not_only_the_arch_name():
+    wider = dataclasses.replace(
+        IVY_BRIDGE,
+        counter_fidelity=dataclasses.replace(
+            IVY_BRIDGE.counter_fidelity, bias_sigma=0.05
+        ),
+    )
+    event = IVY_BRIDGE.counter_events.l2_stalls
+    stock = PmcFile(Simulator(), IVY_BRIDGE, core_id=3)
+    ablated = PmcFile(Simulator(), wider, core_id=3)
+    assert ablated.arch.name == stock.arch.name
+    assert ablated._bias[event] != stock._bias[event]
+    assert dict(ablated._bias) == _per_instance_bias(wider, 3)
+
+
+def test_shared_bias_mapping_is_read_only():
+    pmc = make_pmc()
+    with pytest.raises(TypeError):
+        pmc._bias[EVENTS.l3_hit] = 1.0
+
+
+def _read_every_core(core_order, seed=11):
+    machine = Machine(Simulator(seed=seed), SANDY_BRIDGE)
+    events = SANDY_BRIDGE.counter_events.all_events()
+    readings = {}
+    for core_id in core_order:
+        pmc = machine.pmc(core_id)
+        pmc.program(events, privileged=True)
+        for step in range(3):
+            for event in events:
+                pmc.increment(event, 1_000.0 * (step + 1))
+            readings[core_id, step] = tuple(pmc.read(event) for event in events)
+    return readings
+
+
+def test_read_noise_does_not_depend_on_core_read_order():
+    cores = range(len(Machine(Simulator(), SANDY_BRIDGE).pmcs))
+    forward = _read_every_core(list(cores))
+    backward = _read_every_core(list(reversed(cores)))
+    assert forward == backward
+
+
+def test_second_machine_seeds_no_bias_rng(monkeypatch):
+    Machine(Simulator(seed=1), HASWELL)
+    seeded = []
+
+    def counting_random(seed):
+        seeded.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(
+        pmc_module, "random", types.SimpleNamespace(Random=counting_random)
+    )
+    misses = pmc_module.counter_bias.cache_info().misses
+    machine = Machine(Simulator(seed=2), HASWELL)
+    assert seeded == []
+    assert pmc_module.counter_bias.cache_info().misses == misses
+    assert len(machine.pmcs) == HASWELL.sockets * HASWELL.cores_per_socket * HASWELL.smt

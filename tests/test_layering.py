@@ -77,16 +77,28 @@ def test_module_level_imports_point_down():
     assert layering_violations() == []
 
 
-def test_emulator_core_does_not_load_validation():
-    code = (
-        "import sys, repro.quartz.emulator\n"
-        "loaded = sorted(m for m in sys.modules if m.startswith('repro.validation'))\n"
-        "assert not loaded, loaded\n"
-    )
-    completed = subprocess.run(
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT.parent)},
+    )
+
+
+def test_emulator_core_does_not_load_validation():
+    completed = _run_fresh(
+        "import sys, repro.quartz.emulator\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('repro.validation'))\n"
+        "assert not loaded, loaded\n"
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+def test_cli_import_does_not_load_numpy():
+    """Only the graph workloads use numpy; they import it when they run."""
+    completed = _run_fresh(
+        "import sys, repro.cli\n"
+        "assert 'numpy' not in sys.modules, 'repro.cli imported numpy'\n"
     )
     assert completed.returncode == 0, completed.stderr
