@@ -102,14 +102,27 @@ class CacheHierarchySim:
 # ----------------------------------------------------------------------
 # Analytic model (production path)
 # ----------------------------------------------------------------------
-@dataclass
+#: ILP divisor for L1/L2 hit latency when accesses are independent: with
+#: two load ports an OOO core retires ~2 L1 hits per cycle, i.e. ~8
+#: overlapped 4-cycle hits in flight.  Pointer chases (CHASE) are serial.
+_PIPELINED_HIT_ILP = 8.0
+
+
+@dataclass(frozen=True)
 class BatchProfile:
-    """How one :class:`MemBatch` resolves against the memory hierarchy.
+    """How one :class:`MemBatch` shape resolves against one arch's hierarchy.
 
     Counts are floats (batches are statistically, not individually,
     resolved).  ``demand_dram_loads`` excludes prefetch-covered lines,
     which appear in ``prefetched_lines`` instead: those retire as LLC hits
     (the PMC view) but still transfer bytes.
+
+    The remaining fields are the per-shape terms the core's timing and
+    PMC accounting read, derived once from the counts and the arch's
+    latencies.  Only the terms that depend on machine state at the time
+    of the batch (frequency, loaded DRAM latency) are left to the core.
+    A profile is immutable because :class:`AnalyticCacheModel` hands the
+    same object to every batch of the same shape.
     """
 
     accesses: int
@@ -122,34 +135,22 @@ class BatchProfile:
     tlb_walks: float = 0.0
     dram_bytes: float = 0.0
     is_store: bool = False
-
-    @property
-    def serialized_dram_accesses(self) -> float:
-        """Demand misses divided by memory-level parallelism.
-
-        This is the quantity Quartz's Eq. (2) tries to recover from stall
-        cycles: the number of memory trips actually on the critical path.
-        """
-        return self.demand_dram_loads / self.effective_mlp
-
-    @property
-    def serialized_l3_hits(self) -> float:
-        """LLC hits on the critical path (same MLP as the miss stream)."""
-        return (self.l3_hits + self.prefetched_lines) / self.effective_mlp
-
-    @property
-    def pmc_l3_hits(self) -> float:
-        """What the L3-hit performance event reports (loads only)."""
-        if self.is_store:
-            return 0.0
-        return self.l3_hits + self.prefetched_lines
-
-    @property
-    def pmc_dram_loads(self) -> float:
-        """What the LLC-miss performance events report (loads only)."""
-        if self.is_store:
-            return 0.0
-        return self.demand_dram_loads
+    #: Demand misses divided by memory-level parallelism: the quantity
+    #: Quartz's Eq. (2) tries to recover from stall cycles, the number of
+    #: memory trips actually on the critical path.
+    serialized_dram_accesses: float = 0.0
+    #: LLC hits on the critical path (same MLP as the miss stream).
+    serialized_l3_hits: float = 0.0
+    #: What the L3-hit performance event reports (loads only).
+    pmc_l3_hits: float = 0.0
+    #: What the LLC-miss performance events report (loads only).
+    pmc_dram_loads: float = 0.0
+    #: L1/L2 hit latency divided by the pattern's hit ILP (loads only).
+    hit_ns: float = 0.0
+    #: LLC-hit wait on the critical path.
+    l3_wait_ns: float = 0.0
+    #: Page-walk wait on the critical path.
+    tlb_wait_ns: float = 0.0
 
 
 class AnalyticCacheModel:
@@ -157,15 +158,24 @@ class AnalyticCacheModel:
 
     ``llc_sharers`` models destructive LLC sharing: with *k* active threads
     on the socket, each effectively owns ``L3/k``.
+
+    :meth:`resolve` is a pure function of the arch (fixed per model),
+    ``llc_sharers`` and the batch's shape, so each shape is translated
+    once and its profile memoised; a repeat costs one dictionary lookup
+    and returns the very floats the first translation computed.
     """
 
     #: Instruction-level parallelism assumed for independent (RANDOM)
     #: access streams when the workload does not say otherwise.
     DEFAULT_RANDOM_PARALLELISM = 1
+    #: Shapes remembered per model.  A full memo is emptied: a miss
+    #: recomputes the same floats, so the bound costs time, never results.
+    MEMO_LIMIT = 4096
 
     def __init__(self, arch: ArchSpec):
         self.arch = arch
         self.llc_sharers = 1
+        self._memo: dict[tuple, BatchProfile] = {}
 
     # -- capacity helpers ------------------------------------------------
     def _effective_l3(self) -> float:
@@ -181,18 +191,68 @@ class AnalyticCacheModel:
     # -- main entry point --------------------------------------------------
     def resolve(self, batch: MemBatch) -> BatchProfile:
         """Resolve a batch into per-level hit/miss counts."""
-        batch.region.require_live()
+        region = batch.region
+        region.require_live()
+        if batch.non_temporal and not batch.is_store and batch.accesses:
+            raise HardwareError("non-temporal hint is only meaningful for stores")
+        key = (
+            self.llc_sharers, batch.pattern, batch.effective_footprint,
+            batch.accesses, batch.parallelism, batch.stride_bytes,
+            region.page_size, batch.is_store, batch.non_temporal,
+            batch.dram_bytes_multiplier,
+        )
+        memo = self._memo
+        profile = memo.get(key)
+        if profile is None:
+            if len(memo) >= self.MEMO_LIMIT:
+                memo.clear()
+            profile = memo[key] = self._translate(batch)
+        return profile
+
+    def _translate(self, batch: MemBatch) -> BatchProfile:
         if batch.accesses == 0:
             return BatchProfile(accesses=0, is_store=batch.is_store)
-        if batch.non_temporal and not batch.is_store:
-            raise HardwareError("non-temporal hint is only meaningful for stores")
         if batch.pattern is PatternKind.SEQUENTIAL:
-            profile = self._resolve_sequential(batch)
-        else:
-            profile = self._resolve_irregular(batch)
-        profile.tlb_walks = self._tlb_walks(batch, profile)
-        profile.dram_bytes *= batch.dram_bytes_multiplier
-        return profile
+            return self._resolve_sequential(batch)
+        return self._resolve_irregular(batch)
+
+    def _profile(
+        self,
+        batch: MemBatch,
+        *,
+        l1_hits: float,
+        l2_hits: float,
+        l3_hits: float,
+        demand_dram_loads: float,
+        prefetched_lines: float,
+        effective_mlp: float,
+        dram_bytes: float,
+        is_store: bool,
+    ) -> BatchProfile:
+        """Build the immutable profile, every derived term included."""
+        arch = self.arch
+        tlb_walks = self._tlb_walks(batch)
+        serialized_l3_hits = (l3_hits + prefetched_lines) / effective_mlp
+        hit_ilp = 1.0 if batch.pattern is PatternKind.CHASE else _PIPELINED_HIT_ILP
+        return BatchProfile(
+            accesses=batch.accesses,
+            l1_hits=l1_hits,
+            l2_hits=l2_hits,
+            l3_hits=l3_hits,
+            demand_dram_loads=demand_dram_loads,
+            prefetched_lines=prefetched_lines,
+            effective_mlp=effective_mlp,
+            tlb_walks=tlb_walks,
+            dram_bytes=dram_bytes * batch.dram_bytes_multiplier,
+            is_store=is_store,
+            serialized_dram_accesses=demand_dram_loads / effective_mlp,
+            serialized_l3_hits=serialized_l3_hits,
+            pmc_l3_hits=0.0 if is_store else l3_hits + prefetched_lines,
+            pmc_dram_loads=0.0 if is_store else demand_dram_loads,
+            hit_ns=(l1_hits * arch.l1_lat_ns + l2_hits * arch.l2_lat_ns) / hit_ilp,
+            l3_wait_ns=serialized_l3_hits * arch.l3_lat_ns,
+            tlb_wait_ns=tlb_walks * arch.tlb_walk_ns / effective_mlp,
+        )
 
     # -- pattern-specific resolution ----------------------------------------
     def _resolve_irregular(self, batch: MemBatch) -> BatchProfile:
@@ -212,8 +272,8 @@ class AnalyticCacheModel:
         if batch.is_store and not batch.non_temporal:
             # Read-for-ownership plus eventual writeback.
             bytes_per_miss = 2 * CACHE_LINE_BYTES
-        return BatchProfile(
-            accesses=n,
+        return self._profile(
+            batch,
             l1_hits=l1_hits,
             l2_hits=l2_hits,
             l3_hits=l3_hits,
@@ -236,9 +296,11 @@ class AnalyticCacheModel:
         if batch.non_temporal:
             # Streaming stores bypass the hierarchy entirely: every line
             # goes straight to memory, no RFO, no demand-load stall.
-            return BatchProfile(
-                accesses=n,
+            return self._profile(
+                batch,
                 l1_hits=0.0,
+                l2_hits=0.0,
+                l3_hits=0.0,
                 demand_dram_loads=0.0,
                 prefetched_lines=line_misses,
                 effective_mlp=float(arch.mshr_count),
@@ -253,8 +315,8 @@ class AnalyticCacheModel:
         bytes_per_line = CACHE_LINE_BYTES
         if batch.is_store:
             bytes_per_line = 2 * CACHE_LINE_BYTES
-        return BatchProfile(
-            accesses=n,
+        return self._profile(
+            batch,
             l1_hits=l1_hits,
             l2_hits=0.0,
             l3_hits=resident_lines,
@@ -266,7 +328,7 @@ class AnalyticCacheModel:
         )
 
     # -- TLB ------------------------------------------------------------------
-    def _tlb_walks(self, batch: MemBatch, profile: BatchProfile) -> float:
+    def _tlb_walks(self, batch: MemBatch) -> float:
         """Page walks triggered by the batch.
 
         Irregular patterns walk with probability 1 - coverage when the

@@ -27,10 +27,12 @@ Quartz's Eq. (3) must apportion it between hits and misses.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import HardwareError
+from repro.hw.arch import CounterEventSet
 from repro.ops import (
     Commit,
     Compute,
@@ -39,7 +41,6 @@ from repro.ops import (
     MemBatch,
     Op,
     OpResult,
-    PatternKind,
     Spin,
 )
 from repro.sim import Interrupt, Timeout
@@ -77,14 +78,30 @@ class CoreStats:
     interrupts_taken: int = 0
 
 
-#: ILP divisor for L1/L2 hit latency when accesses are independent: with
-#: two load ports an OOO core retires ~2 L1 hits per cycle, i.e. ~8
-#: overlapped 4-cycle hits in flight.
-_PIPELINED_HIT_ILP = 8.0
 #: Cycles charged per posted store (store-buffer insertion).
 _STORE_ISSUE_CYCLES = 0.25
 #: Cycles charged for issuing a clflushopt (non-blocking).
 _FLUSHOPT_ISSUE_CYCLES = 5.0
+
+
+@functools.lru_cache(maxsize=64)
+def _membatch_events(
+    events: CounterEventSet,
+) -> tuple[str, str, tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The PMC events a memory batch charges on one family.
+
+    Returns the L2-pending-stall event, the L3-hit event and the LLC-miss
+    events for a remote (index 0) and a local (index 1) target node.
+    """
+    remote: list[str] = []
+    local: list[str] = []
+    if events.has_local_remote_split:
+        remote.append(events.l3_miss_remote)
+        local.append(events.l3_miss_local)
+    if events.l3_miss_combined is not None:
+        remote.append(events.l3_miss_combined)
+        local.append(events.l3_miss_combined)
+    return events.l2_stalls, events.l3_hit, (tuple(remote), tuple(local))
 
 
 class Core:
@@ -96,6 +113,7 @@ class Core:
         self.socket = core_id // (machine.arch.cores_per_socket * machine.arch.smt)
         self.current_thread: Optional["SimThread"] = None
         self.stats = CoreStats()
+        self._membatch_events = _membatch_events(machine.arch.counter_events)
 
     # ------------------------------------------------------------------
     # Timestamp counter
@@ -170,14 +188,13 @@ class Core:
 
     # -- memory batches -----------------------------------------------------
     def _membatch_timing(self, batch: MemBatch, profile: "BatchProfile"):
-        """Return (compute_like_ns, mem_wait_ns, duration_min_ns)."""
-        arch = self.machine.arch
+        """Return (compute_like_ns, mem_wait_ns, duration_min_ns).
+
+        Per-shape terms come precomputed on *profile*; the frequency and
+        the (possibly loaded) DRAM latency are read from the machine now.
+        """
         freq = self.frequency_ghz()
         compute_ns = batch.accesses * batch.compute_cycles_per_access / freq
-        hit_ilp = 1.0 if batch.pattern is PatternKind.CHASE else _PIPELINED_HIT_ILP
-        l12_ns = (
-            profile.l1_hits * arch.l1_lat_ns + profile.l2_hits * arch.l2_lat_ns
-        ) / hit_ilp
         if batch.is_store:
             # Posted writes: the core only pays issue cost; drain time is
             # bandwidth-bound and enforced by the flow below.
@@ -186,11 +203,11 @@ class Core:
             return compute_like, 0.0, compute_like
         dram_lat = self.machine.dram_latency_ns(self.socket, batch.region.node)
         mem_wait = (
-            profile.serialized_l3_hits * arch.l3_lat_ns
+            profile.l3_wait_ns
             + profile.serialized_dram_accesses * dram_lat
-            + profile.tlb_walks * arch.tlb_walk_ns / profile.effective_mlp
+            + profile.tlb_wait_ns
         )
-        compute_like = compute_ns + l12_ns
+        compute_like = compute_ns + profile.hit_ns
         overlap = batch.overlap if batch.overlap is not None else 0.0
         hidden = overlap * min(compute_like, mem_wait)
         duration_min = compute_like + mem_wait - hidden
@@ -203,11 +220,12 @@ class Core:
         compute_like, _mem_wait, duration_min = self._membatch_timing(batch, profile)
         sim = self.machine.sim
         start = sim.now
-        if profile.dram_bytes > 0:
+        dram_bytes = profile.dram_bytes
+        if dram_bytes > 0:
             controller = self.machine.controller(batch.region.node)
-            rate_cap = profile.dram_bytes / max(duration_min, 1e-9)
+            rate_cap = dram_bytes / max(duration_min, 1e-9)
             flow = controller.submit(
-                profile.dram_bytes,
+                dram_bytes,
                 rate_cap,
                 label=batch.label or "membatch",
                 kind="write" if batch.is_store else "read",
@@ -248,26 +266,21 @@ class Core:
         """Charge PMCs and stats for the completed *fraction* of a batch."""
         if fraction < 1.0:
             self.stats.interrupts_taken += 1
-        events = self.machine.arch.counter_events
+        stall_event, l3_hit_event, miss_events = self._membatch_events
         pmc = self.machine.pmc(self.core_id)
         stall_ns = 0.0
         if not batch.is_store:
             stall_ns = max(0.0, elapsed_ns - fraction * compute_like_ns)
-        stall_cycles = stall_ns * self.frequency_ghz()
-        pmc.increment(events.l2_stalls, stall_cycles)
-        pmc.increment(events.l3_hit, fraction * profile.pmc_l3_hits)
+        pmc.increment(stall_event, stall_ns * self.frequency_ghz())
+        pmc.increment(l3_hit_event, fraction * profile.pmc_l3_hits)
         dram_loads = fraction * profile.pmc_dram_loads
-        if events.has_local_remote_split:
-            if batch.region.node == self.socket:
-                pmc.increment(events.l3_miss_local, dram_loads)
-            else:
-                pmc.increment(events.l3_miss_remote, dram_loads)
-        if events.l3_miss_combined is not None:
-            pmc.increment(events.l3_miss_combined, dram_loads)
-        self.stats.busy_ns += elapsed_ns
-        self.stats.stall_ns += stall_ns
-        self.stats.mem_accesses += fraction * batch.accesses
-        self.stats.dram_loads += dram_loads
+        for event in miss_events[batch.region.node == self.socket]:
+            pmc.increment(event, dram_loads)
+        stats = self.stats
+        stats.busy_ns += elapsed_ns
+        stats.stall_ns += stall_ns
+        stats.mem_accesses += fraction * batch.accesses
+        stats.dram_loads += dram_loads
 
     # -- persistent-memory line flushes -----------------------------------
     def _flush_latency_ns(self, node: int) -> float:

@@ -267,20 +267,18 @@ class MemoryController:
         self._flows.remove(flow)
 
     @staticmethod
-    def _water_fill(
-        flows: list[MemoryFlow], caps: dict[int, float], capacity: float
-    ) -> dict[int, float]:
-        """Progressive filling: per-flow rate within a shared capacity."""
-        assigned: dict[int, float] = {}
-        pending = sorted(flows, key=lambda f: caps[f.flow_id])
+    def _water_fill(caps: list[float], capacity: float) -> list[float]:
+        """Progressive filling: the rate of each cap, in input order,
+        within a shared capacity."""
+        count = len(caps)
+        rates = [0.0] * count
         remaining = capacity
-        count = len(pending)
-        for index, flow in enumerate(pending):
+        for index, position in enumerate(sorted(range(count), key=caps.__getitem__)):
             fair_share = remaining / (count - index)
-            rate = min(caps[flow.flow_id], fair_share)
-            assigned[flow.flow_id] = rate
+            rate = min(caps[position], fair_share)
+            rates[position] = rate
             remaining -= rate
-        return assigned
+        return rates
 
     def _reallocate(self) -> None:
         """Recompute max-min fair rates and reschedule completions.
@@ -289,24 +287,36 @@ class MemoryController:
         within its own register-scaled capacity, then the results become
         rate caps in a combined fill against the overall capacity — so
         the combined register still binds when the per-kind registers are
-        left open.
+        left open.  A lone flow takes the same two ``min`` steps without
+        the fill's bookkeeping (its fair share is the whole capacity, and
+        dividing by one is exact).
         """
         self._advance_all()
-        kind_limits: dict[int, float] = {}
-        for kind in ("read", "write"):
-            kind_flows = [flow for flow in self._flows if flow.kind == kind]
-            if not kind_flows:
-                continue
-            caps = {flow.flow_id: flow.rate_cap for flow in kind_flows}
-            kind_limits.update(
-                self._water_fill(kind_flows, caps, self._kind_bandwidth(kind))
+        flows = self._flows
+        if not flows:
+            return
+        if len(flows) == 1:
+            flow = flows[0]
+            flow.assigned_rate = min(
+                min(flow.rate_cap, self._kind_bandwidth(flow.kind)),
+                self.effective_bandwidth,
             )
-        assigned = self._water_fill(
-            self._flows, kind_limits, self.effective_bandwidth
-        )
-        for flow in self._flows:
-            flow.assigned_rate = assigned[flow.flow_id]
-        for flow in self._flows:
+        else:
+            limits = [0.0] * len(flows)
+            for kind in ("read", "write"):
+                positions = [i for i, flow in enumerate(flows) if flow.kind == kind]
+                if not positions:
+                    continue
+                rates = self._water_fill(
+                    [flows[i].rate_cap for i in positions], self._kind_bandwidth(kind)
+                )
+                for position, rate in zip(positions, rates):
+                    limits[position] = rate
+            for flow, rate in zip(
+                flows, self._water_fill(limits, self.effective_bandwidth)
+            ):
+                flow.assigned_rate = rate
+        for flow in flows:
             if flow._completion_event is not None:
                 flow._completion_event.cancel()
                 flow._completion_event = None

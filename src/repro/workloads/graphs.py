@@ -72,16 +72,26 @@ def synthetic_scale_free(
         raise WorkloadError(f"need at least one edge per vertex: {edges_per_vertex}")
     if edges_per_vertex >= vertex_count:
         raise WorkloadError("edges_per_vertex must be below vertex_count")
-    rng = random.Random(seed)
+    # Each draw is ``rng.randrange(len(endpoint_pool))``, inlined as
+    # CPython's ``Random._randbelow_with_getrandbits``: draw
+    # ``bit_length`` bits until the value falls below the pool size.  The
+    # draw sequence, hence the graph, is the same; the pool only grows
+    # after a vertex's draws, so its size and bit length are per vertex.
+    getrandbits = random.Random(seed).getrandbits
     sources: list[int] = []
     targets: list[int] = []
     # Every draw lands in this list twice, making sampling degree-biased.
     endpoint_pool: list[int] = [0]
     for vertex in range(1, vertex_count):
         attach_count = min(edges_per_vertex, vertex)
+        pool_size = len(endpoint_pool)
+        bits = pool_size.bit_length()
         chosen: set[int] = set()
         while len(chosen) < attach_count:
-            chosen.add(endpoint_pool[rng.randrange(len(endpoint_pool))])
+            draw = getrandbits(bits)
+            while draw >= pool_size:
+                draw = getrandbits(bits)
+            chosen.add(endpoint_pool[draw])
         for target in chosen:
             sources.append(vertex)
             targets.append(target)

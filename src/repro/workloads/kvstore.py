@@ -15,6 +15,7 @@ load (puts, timed), then all threads query (gets, timed).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -331,13 +332,17 @@ def kvstore_main_body(config: KvStoreConfig, out: dict):
 # ----------------------------------------------------------------------
 
 
-def committed_key_sequence(config: KvStoreConfig, thread_index: int) -> list:
+@functools.lru_cache(maxsize=32)
+def committed_key_sequence(
+    config: KvStoreConfig, thread_index: int
+) -> tuple[int, ...]:
     """The deterministic insertion order of one put worker.
 
     Shared by the workload body and :meth:`RecoverableKvStore.recover`
     so recovery can recompute exactly which keys the persisted header
     claims committed — a plain seeded shuffle, independent of thread
-    names and simulator streams.
+    names and simulator streams.  A pure function of its (frozen)
+    arguments, so it is shuffled once per process and shared read-only.
     """
     keys = list(
         range(
@@ -347,7 +352,7 @@ def committed_key_sequence(config: KvStoreConfig, thread_index: int) -> list:
         )
     )
     random.Random(config.seed * 1_000_003 + thread_index).shuffle(keys)
-    return keys
+    return tuple(keys)
 
 
 def _kv_arena_label(thread_index: int) -> str:

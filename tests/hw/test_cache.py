@@ -1,9 +1,11 @@
 """Tests for the detailed and analytic cache models."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import HardwareError
-from repro.hw import IVY_BRIDGE, SANDY_BRIDGE
+from repro.hw import ALL_ARCHS, IVY_BRIDGE, SANDY_BRIDGE
 from repro.hw.cache import AnalyticCacheModel, CacheHierarchySim, SetAssociativeCache
 from repro.hw.topology import MemoryRegion, PageSize
 from repro.ops import MemBatch, PatternKind
@@ -255,3 +257,140 @@ def test_analytic_matches_detailed_for_random_access(footprint_mib):
     )
     analytic_miss_rate = profile.demand_dram_loads / 20_000
     assert analytic_miss_rate == pytest.approx(measured_miss_rate, abs=0.08)
+
+
+# ----------------------------------------------------------------------
+# Per-shape memo
+# ----------------------------------------------------------------------
+def _profile_hex(profile):
+    """Every field of a profile, floats as exact hex strings."""
+    return {
+        name: value.hex() if isinstance(value, float) else value
+        for name, value in dataclasses.asdict(profile).items()
+    }
+
+
+def _all_shapes():
+    # Each variant differs from the base shape in one field only.
+    variants = (
+        {},
+        {"accesses": 2_500},
+        {"parallelism": 6},
+        {"stride_bytes": 8},
+        {"dram_bytes_multiplier": 2.0},
+    )
+    for pattern in PatternKind:
+        for is_store, non_temporal in ((False, False), (True, False), (True, True)):
+            for footprint in (16 * KIB, 200 * KIB, 4 * MIB, 40 * MIB, 4096 * MIB):
+                for page in (PageSize.SMALL_4K, PageSize.HUGE_2M):
+                    for variant in variants:
+                        fields = dict(
+                            accesses=10_000,
+                            pattern=pattern,
+                            is_store=is_store,
+                            non_temporal=non_temporal,
+                        )
+                        fields.update(variant)
+                        yield (footprint, page), fields
+
+
+@pytest.mark.parametrize("arch", ALL_ARCHS, ids=lambda arch: arch.name)
+def test_memoised_resolve_is_bit_identical_to_a_fresh_model(arch):
+    # One warm model sees every shape twice; a shape missing from the
+    # memo key would come back as another shape's profile.
+    regions = {}
+    warm = AnalyticCacheModel(arch)
+    cases = []
+    for sharers in (1, 2, 3, 4):
+        for (footprint, page), fields in _all_shapes():
+            r = regions.setdefault((footprint, page), region(footprint, page=page))
+            cases.append((sharers, MemBatch(r, **fields)))
+    for _ in range(2):
+        for sharers, batch in cases:
+            warm.llc_sharers = sharers
+            warm.resolve(batch)
+    for sharers, batch in cases:
+        fresh = AnalyticCacheModel(arch)
+        fresh.llc_sharers = sharers
+        warm.llc_sharers = sharers
+        assert _profile_hex(warm.resolve(batch)) == _profile_hex(fresh.resolve(batch))
+
+
+def test_repeated_shape_returns_the_memoised_profile():
+    r = region(64 * MIB)
+    m = model()
+    first = m.resolve(MemBatch(r, 1000, PatternKind.RANDOM, label="a"))
+    # Label, compute and overlap do not change how a batch resolves.
+    again = MemBatch(r, 1000, PatternKind.RANDOM, label="b",
+                     compute_cycles_per_access=3.0, overlap=0.5)
+    assert m.resolve(again) is first
+    assert m.resolve(MemBatch(r, 1001, PatternKind.RANDOM)) is not first
+
+
+def test_profile_derived_terms_follow_from_its_counts():
+    r = region(64 * MIB)
+    arch = IVY_BRIDGE
+    for pattern, ilp in ((PatternKind.CHASE, 1.0), (PatternKind.RANDOM, 8.0)):
+        p = AnalyticCacheModel(arch).resolve(MemBatch(r, 1000, pattern, parallelism=4))
+        assert p.serialized_dram_accesses == p.demand_dram_loads / p.effective_mlp
+        assert p.serialized_l3_hits == (p.l3_hits + p.prefetched_lines) / p.effective_mlp
+        assert p.pmc_l3_hits == p.l3_hits + p.prefetched_lines
+        assert p.pmc_dram_loads == p.demand_dram_loads
+        assert p.hit_ns == (p.l1_hits * arch.l1_lat_ns + p.l2_hits * arch.l2_lat_ns) / ilp
+        assert p.l3_wait_ns == p.serialized_l3_hits * arch.l3_lat_ns
+        assert p.tlb_wait_ns == p.tlb_walks * arch.tlb_walk_ns / p.effective_mlp
+    store = model().resolve(MemBatch(r, 1000, PatternKind.RANDOM, is_store=True))
+    assert store.pmc_l3_hits == 0.0 and store.pmc_dram_loads == 0.0
+
+
+def test_freed_region_rejected_after_its_shape_is_memoised():
+    r = region(MIB)
+    m = model()
+    batch = MemBatch(r, 10, PatternKind.RANDOM)
+    m.resolve(batch)
+    r.freed = True
+    with pytest.raises(HardwareError, match="use after free"):
+        m.resolve(batch)
+
+
+def test_non_temporal_load_rejected_on_a_memo_hit():
+    r = region(MIB)
+    m = model()
+    m.resolve(MemBatch(r, 10, PatternKind.SEQUENTIAL, is_store=True, non_temporal=True))
+    load = MemBatch(r, 10, PatternKind.SEQUENTIAL, non_temporal=True)
+    for _ in range(2):
+        with pytest.raises(HardwareError, match="non-temporal"):
+            m.resolve(load)
+    # An empty batch resolves before the hint is checked, as it always has.
+    assert m.resolve(MemBatch(r, 0, PatternKind.SEQUENTIAL, non_temporal=True)).accesses == 0
+
+
+def test_changing_llc_sharers_changes_the_memoised_result():
+    r = region(20 * MIB)
+    m = model()
+    batch = MemBatch(r, 10_000, PatternKind.RANDOM)
+    alone = m.resolve(batch)
+    m.llc_sharers = 4
+    shared = m.resolve(batch)
+    assert shared.demand_dram_loads > alone.demand_dram_loads
+    m.llc_sharers = 1
+    assert m.resolve(batch) is alone
+
+
+def test_returned_profile_is_immutable():
+    profile = model().resolve(MemBatch(region(MIB), 10, PatternKind.RANDOM))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        profile.dram_bytes = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        profile.tlb_walks *= 2
+
+
+def test_memo_is_bounded():
+    m = model()
+    m.MEMO_LIMIT = 4
+    r = region(MIB)
+    for accesses in range(1, 12):
+        m.resolve(MemBatch(r, accesses, PatternKind.RANDOM))
+        assert len(m._memo) <= 4
+    fresh = model().resolve(MemBatch(r, 1, PatternKind.RANDOM))
+    assert _profile_hex(m.resolve(MemBatch(r, 1, PatternKind.RANDOM))) == _profile_hex(fresh)

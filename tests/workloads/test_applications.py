@@ -155,3 +155,20 @@ def test_bfs_detects_corrupted_tree(small_graph):
 def test_graph500_config_validation():
     with pytest.raises(WorkloadError):
         Graph500Config(roots=0)
+
+
+@pytest.mark.parametrize("threads, seed", [(1, 0), (3, 7)])
+def test_committed_key_sequence_is_the_seeded_shuffle(threads, seed):
+    import random
+
+    from repro.workloads.kvstore import committed_key_sequence
+
+    config = KvStoreConfig(puts_per_thread=40, threads=threads, seed=seed)
+    for thread_index in range(threads):
+        keys = list(range(thread_index, thread_index + threads * 40, threads))
+        random.Random(seed * 1_000_003 + thread_index).shuffle(keys)
+        sequence = committed_key_sequence(config, thread_index)
+        assert sequence == tuple(keys)
+        # Memoised per (config, thread) and immutable.
+        assert committed_key_sequence(config, thread_index) is sequence
+        assert isinstance(sequence, tuple)

@@ -1,5 +1,7 @@
 """Tests for the synthetic graph substrate."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,3 +87,41 @@ def test_property_valid_csr(n, m, seed):
     # No self loops.
     for vertex in range(n):
         assert vertex not in set(int(x) for x in graph.neighbors(vertex))
+
+
+def _randrange_reference(vertex_count, edges_per_vertex, seed):
+    """The generator's draw loop written with ``Random.randrange``."""
+    rng = random.Random(seed)
+    sources, targets, endpoint_pool = [], [], [0]
+    for vertex in range(1, vertex_count):
+        attach_count = min(edges_per_vertex, vertex)
+        chosen = set()
+        while len(chosen) < attach_count:
+            chosen.add(endpoint_pool[rng.randrange(len(endpoint_pool))])
+        for target in chosen:
+            sources.append(vertex)
+            targets.append(target)
+            endpoint_pool.append(vertex)
+            endpoint_pool.append(target)
+    src = np.concatenate([np.array(sources), np.array(targets)])
+    dst = np.concatenate([np.array(targets), np.array(sources)])
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    row_ptr = np.zeros(vertex_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=vertex_count), out=row_ptr[1:])
+    return row_ptr, dst.astype(np.int32)
+
+
+@pytest.mark.parametrize(
+    "n, m, seed",
+    [(2, 1, 0), (3, 1, 5), (2, 1, 7), (50, 1, 1), (64, 2, 3), (257, 3, 2),
+     (1000, 4, 1), (1000, 4, 2), (4000, 7, 11)],
+)
+def test_exact_draw_generator_matches_randrange_loop(n, m, seed):
+    # Pins the inlined bounded draw to CPython's ``randrange`` on the
+    # running interpreter: the same draws, hence the same CSR arrays.
+    graph = synthetic_scale_free(n, m, seed=seed)
+    row_ptr, col = _randrange_reference(n, m, seed)
+    assert np.array_equal(graph.row_ptr, row_ptr)
+    assert np.array_equal(graph.col, col)
+    assert graph.col.dtype == col.dtype
